@@ -32,7 +32,7 @@ int main(int argc, char** argv) {
     if (ni == 0) MRI_CHECK_MSG(disk.residual < 1e-5, "accuracy check failed");
 
     core::InversionOptions spark;
-    spark.in_memory_intermediates = true;
+    spark.engine = core::EngineKind::kSpin;
     const MrRun mem = run_mapreduce(setup, nodes, spark, 1, nullptr, false);
 
     const double s2 = scale * scale;

@@ -17,7 +17,7 @@
 // --engine spin selects the SPIN-style in-memory engine: intermediates live
 // in per-node block caches (--cache-mb per node), consumers read resident
 // inputs at memory bandwidth, and node kills recover by lineage
-// recomputation. --spark is the deprecated spelling of --engine spin.
+// recomputation.
 //
 // --kernel-backend selects the process-wide GEMM/TRSM implementation every
 // dense kernel dispatches through (default: simd when the CPU has AVX2+FMA,
@@ -402,7 +402,7 @@ int run_serve(const mri::CliOptions& cli) {
       static_cast<int>(cli.get_int("tenant-queue-limit", 0));
   options.inversion.nb = cli.get_int("nb", 0);
   if (options.inversion.nb <= 0) options.inversion.nb = 256;
-  if (cli.get_string("engine", "") == "spin" || cli.get_bool("spark", false)) {
+  if (cli.get_string("engine", "") == "spin") {
     options.inversion.engine = core::EngineKind::kSpin;
   }
   options.inversion.cache_capacity_bytes =
@@ -513,19 +513,11 @@ int main(int argc, char** argv) {
               "--overlap schedules the final stage on the MapReduce DAG "
               "executor, which --engine scalapack never runs; drop --overlap "
               "or use --engine mapreduce (or auto)");
-  MRI_REQUIRE(!(cli.has("spark") && engine == "scalapack"),
-              "--spark keeps MapReduce intermediates in memory, which "
-              "--engine scalapack never writes; drop --spark or use "
-              "--engine spin");
-  MRI_REQUIRE(!(cli.has("spark") && engine == "spin"),
-              "--spark is the deprecated spelling of --engine spin; drop "
-              "--spark (you already selected the spin engine)");
   MRI_REQUIRE(!(cli.has("cache-mb") && engine == "scalapack"),
               "--cache-mb sizes the spin engine's per-node block cache, "
               "which --engine scalapack never uses; drop --cache-mb or use "
               "--engine spin");
-  MRI_REQUIRE(!cli.has("cache-mb") || engine == "spin" ||
-                  cli.get_bool("spark", false),
+  MRI_REQUIRE(!cli.has("cache-mb") || engine == "spin",
               "--cache-mb sizes the spin engine's per-node block cache; add "
               "--engine spin (Hadoop-style runs keep intermediates on "
               "disk, not in a cache)");
@@ -615,12 +607,6 @@ int main(int argc, char** argv) {
 
   core::InversionOptions options;
   options.nb = cli.get_int("nb", std::max<Index>(32, a.rows() / 8));
-  if (cli.get_bool("spark", false)) {
-    std::printf("note: --spark is deprecated; use --engine spin (same "
-                "in-memory engine, now with a block cache and lineage "
-                "recovery)\n");
-    options.engine = core::EngineKind::kSpin;
-  }
   options.cache_capacity_bytes =
       static_cast<std::uint64_t>(cli.get_int("cache-mb", 256)) << 20;
   options.overlap_final_stage = cli.get_bool("overlap", false);

@@ -72,15 +72,8 @@ struct InversionOptions {
   /// BlockCache capacity per node for the kSpin engine; 0 = unlimited.
   std::uint64_t cache_capacity_bytes = 256ull << 20;
 
-  /// Deprecated spelling of `engine = kSpin` (the old `--spark` sketch):
-  /// kept so existing callers keep compiling; spin() folds it in.
-  bool in_memory_intermediates = false;
-
-  /// True when the SPIN-style in-memory engine is selected (via `engine`
-  /// or the legacy in_memory_intermediates flag).
-  bool spin() const {
-    return engine == EngineKind::kSpin || in_memory_intermediates;
-  }
+  /// True when the SPIN-style in-memory engine is selected.
+  bool spin() const { return engine == EngineKind::kSpin; }
 
   /// Tier for intermediate files, derived from the engine selection.
   dfs::StorageTier intermediate_tier() const {

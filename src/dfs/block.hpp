@@ -26,11 +26,12 @@ enum class StorageTier { kDisk, kMemory };
 struct BlockLocation {
   BlockId id = 0;
   std::uint64_t length = 0;
-  /// Datanode indices holding a replica (first = primary). For an
-  /// erasure-coded block (one block = one RS stripe) the vector instead has
-  /// exactly ec_k + ec_m entries: slot i names the node holding stripe cell
-  /// i (first ec_k data cells, then ec_m parity cells). Slot position IS the
-  /// cell identity, so a lost cell is marked with -1, never erased.
+  /// The block's slots: the datanode each one lives on. For copies, one
+  /// entry per replica (first = primary; a dead holder is erased). For an
+  /// erasure-coded block (one block = one RS stripe) exactly ec_k + ec_m
+  /// entries: slot i holds stripe cell i (first ec_k data cells, then ec_m
+  /// parity cells). Slot position IS the cell identity, so a lost cell is
+  /// marked with -1, never erased.
   std::vector<int> replicas;
   /// RS stripe shape; 0,0 means a plain replicated block.
   int ec_k = 0;

@@ -6,8 +6,13 @@
 //    bytes_transferred), matching the paper's observation that "the amount of
 //    data read from HDFS is the same as the amount of data transferred
 //    between compute nodes";
-//  * every write is accounted as a local write plus (replication-1) pipelined
-//    network copies (bytes_replicated / bytes_transferred).
+//  * every write is accounted as a local write plus one network copy of
+//    each slot past the first (bytes_replicated / bytes_transferred):
+//    (replication-1) pipelined copies, or k+m-1 stripe cells.
+//
+// Both storage policies run through one block path: a block is a list of
+// slots readable from any k live ones, and a BlockCodec (codec.hpp) makes
+// the per-policy choices inside the shared read, repair and scrub routines.
 //
 // Per-task accounting: pass an IoStats* when opening/creating; the facade
 // adds the same amounts to the global MetricsRegistry.
@@ -337,48 +342,44 @@ class Dfs {
 
   // -- failures (chaos engine wiring) --------------------------------------
 
-  /// Marks a datanode dead, HDFS-style: its replicas are dropped, every
-  /// under-replicated live block is re-replicated onto surviving nodes
-  /// (smallest-id eligible node first; deterministic), and blocks whose
-  /// last replica died become unrecoverable — reads of their files throw
-  /// UnrecoverableBlock instead of hanging or returning zeros. For
-  /// erasure-coded files, reconstruction replaces re-replication: each lost
-  /// stripe cell is decoded from k survivors onto a new node (k-cell fan-in
-  /// traffic, flow-simulated under a racked topology, plus decode CPU via
-  /// the bound CostModel), and a stripe is unrecoverable only when fewer
-  /// than k cells survive. New writes place replicas on live nodes only.
-  /// Idempotent per node. Returns the combined repair totals; `at` is the
-  /// simulated kill time stamped on the storage reconstruction event.
+  /// Marks a datanode dead, HDFS-style: every block it held loses that slot
+  /// and, while k live slots remain, gets each empty slot rebuilt from the
+  /// first k survivors onto a free live node (copies re-replicate, stripes
+  /// decode; deterministic targets, fan-in flow-simulated under a racked
+  /// topology, decode CPU via the bound CostModel). A block left with fewer
+  /// than k live slots is unrecoverable — reads of its file throw
+  /// UnrecoverableBlock instead of hanging or returning zeros. New writes
+  /// use live nodes only. Idempotent per node. `at` is the simulated kill
+  /// time stamped on the storage reconstruction event.
   NodeKillOutcome kill_datanode(int node, double at = 0.0);
   bool datanode_dead(int node) const;
   int live_datanodes() const;
 
   /// Arms `count` failing reads on `node`: each read that would touch the
-  /// node instead fails over to the next live replica (counted in the
+  /// node instead fails over to the next live slot (counted in the
   /// "dfs_read_errors_survived" metric), or throws a transient DfsError
-  /// when the node held the only live copy.
+  /// when fewer than k slots remain.
   void inject_read_error(int node, int count = 1);
 
-  /// Silently corrupts one block copy on `node` at simulated time `at`
-  /// (kCorruptBlock semantics: reads of the copy *succeed* with wrong
-  /// bytes). salt == 0 picks the node's largest block (ties: smallest id) —
-  /// explicit --corrupt-block events target matrix data, not tiny metadata
-  /// files; a nonzero salt (background bit-rot) picks among the node's
-  /// copies deterministically and seeds the bit-flip pattern. A hot-cached
-  /// copy of the same block rots with it (the cache holds a copy of the
-  /// corrupted replica). No-op when the node is dead or holds nothing.
+  /// Silently corrupts one slot on `node` at simulated time `at`
+  /// (kCorruptBlock semantics: reads of it *succeed* with wrong bytes).
+  /// salt == 0 picks the node's largest primary slot (ties: first path,
+  /// then block index) — explicit --corrupt-block events target matrix
+  /// data, not tiny metadata files; a nonzero salt (background bit-rot)
+  /// picks among the node's slots deterministically and seeds the bit-flip
+  /// pattern. A hot-cached copy of the same block rots with it (the cache
+  /// holds a copy of the corrupted slot). No-op when the node is dead or
+  /// holds nothing.
   void corrupt_block(int node, double at, std::uint64_t salt = 0);
 
   /// Runs background scrubber passes for every multiple of
   /// scrub_interval_seconds crossed in (last scrub, now]. Each pass walks
-  /// every live block cell, re-verifies its checksum (scan time = slowest
-  /// node's bytes at disk bandwidth + checksum CPU via the bound
-  /// CostModel), and repairs corrupt copies proactively — replica copy for
-  /// replicated blocks, decode fan-in (flow-simulated under a racked
-  /// topology) for EC cells, lineage recomputation via the TierListener for
-  /// memory-tier partitions. Driver-thread only (invoked from
-  /// ChaosEngine::advance_to at job/phase boundaries). No-op unless
-  /// verify_checksums and a positive interval are configured.
+  /// every live slot, re-verifies its checksum (scan time = slowest node's
+  /// bytes at disk bandwidth + checksum CPU via the bound CostModel), and
+  /// repairs corrupt slots through the read path's repair routine (repair
+  /// traffic flow-simulated under a racked topology). Driver-thread only
+  /// (invoked from ChaosEngine::advance_to at job/phase boundaries). No-op
+  /// unless verify_checksums and a positive interval are configured.
   void scrub_to(double now);
 
   /// Integrity counters and event lanes (all zero when verification is
@@ -398,48 +399,62 @@ class Dfs {
               bool overwrite, IoStats* account, StorageTier tier,
               bool charge = true, bool notify = true);
 
-  /// Picks the replica a read of `loc` uses: the first live replica whose
-  /// read-error budget is exhausted, trying closest replicas first under a
-  /// rack-aware topology. Throws UnrecoverableBlock when every replica is
-  /// dead, DfsError when only injected-error copies remain. `source` (may
-  /// be null) receives the chosen datanode.
-  BlockData read_replica(const BlockLocation& loc, const std::string& path,
-                         int* source) const;
-
-  /// Reads one erasure-coded stripe: fetches the first k available cells
-  /// (data cells first — a fully healthy stripe is a plain concatenation),
-  /// decodes any missing data cells from the survivors (a degraded read,
-  /// charged as bytes_reconstructed + degraded_reads), and returns the
-  /// reassembled block payload. An armed read error on a cell's node marks
-  /// that cell unavailable for this read (failover, like the replicated
-  /// path). Throws UnrecoverableBlock when fewer than k cells survive.
-  BlockData read_stripe(const BlockLocation& loc, const std::string& path,
-                        IoStats* account) const;
+  /// Reads block `index` of `path` through its codec: scans the slots in
+  /// read order, skipping dead holders and holders with an armed read error
+  /// (each skip consumes one error), and stops at the k slots a read needs;
+  /// then assembles the block from them. Throws UnrecoverableBlock when
+  /// fewer than k slots survive, DfsError when only injected read errors
+  /// stand in the way. `source` receives the holder when the block streams
+  /// from one slot, else -1 (the slot fetches are logged here instead).
+  BlockData read_block(const BlockLocation& loc, std::size_t index,
+                       const std::string& path, StorageTier tier,
+                       IoStats* account, int* source) const;
 
   /// Re-runs the greedy residency sweep; call with hot_mu_ held.
   void recompute_hot_residents_locked() const;
 
-  /// Repairs one corrupt copy: clears the (block, node) mark and the hot-
-  /// cache salt, records the repair event and charges its traffic. The
-  /// in-sim payload object was never mutated (corruption is served as a
-  /// deterministic overlay), so clearing the mark models rewriting good
-  /// bytes over the quarantined copy. `slot` is the EC cell index (-1 for
-  /// replicated blocks). Returns the simulated seconds of a lineage
-  /// recompute (memory-tier files), else 0; `flows` (may be null) collects
-  /// repair transfers for the scrubber's flow simulation.
-  double repair_corrupt_copy(const BlockLocation& loc, const std::string& path,
-                             StorageTier tier, int node, int slot, double at,
+  /// Rebuilds lost slot `slot` of `loc` from its first k live slots onto a
+  /// live node holding no slot of the block. Returns that node, or -1 when
+  /// none is left. Appends the survivor-to-target traffic to `repairs`
+  /// (racked topology only) and its bytes to *fanin_bytes.
+  int rebuild_slot(const BlockLocation& loc, int slot,
+                   std::vector<net::Transfer>* repairs,
+                   std::uint64_t* fanin_bytes);
+
+  /// Repairs the corrupt copy in `slot`: clears its (block, node) mark and
+  /// the hot-cache poison, records the repair event and charges its
+  /// traffic. The in-sim payload object was never mutated (corruption is
+  /// served as a deterministic overlay), so clearing the mark models
+  /// rewriting good bytes over the quarantined copy. Returns the simulated
+  /// seconds of a lineage recompute (memory-tier files), else 0; `flows`
+  /// (may be null) collects repair transfers for the scrubber.
+  double repair_corrupt_slot(const BlockLocation& loc, const std::string& path,
+                             StorageTier tier, int slot, double at,
                              bool by_scrubber,
                              std::vector<net::Transfer>* flows) const;
 
-  /// CRC32C-verifies the bytes a read of (loc, node) would serve against
-  /// the recorded write-path checksum, charging the checksum CPU. Returns
-  /// true when the copy is corrupt. `slot` is the EC cell index (-1 =
-  /// whole replicated block).
-  bool verify_copy(const BlockLocation& loc, int node, int slot) const;
+  /// True when the bytes a read of `slot` would serve fail their CRC32C
+  /// against the write-path checksum.
+  bool slot_corrupt(const BlockLocation& loc, int slot) const;
+
+  /// Counts `cells` verified cells of `bytes` and charges the checksum CPU
+  /// to `account` (may be null) and the global metrics.
+  void note_verified(std::int64_t cells, std::uint64_t bytes,
+                     IoStats* account) const;
+
+  /// Contended makespan of `transfers`, all started together, on the
+  /// racked topology.
+  double flow_seconds(const std::vector<net::Transfer>& transfers) const;
 
   /// One scrubber pass at simulated time `at` (see scrub_to).
   void run_scrub_pass(double at);
+
+  /// The node of the calling thread's TransferLog, or -1 when none is
+  /// installed (driver-side calls) or it names no datanode.
+  int task_node() const;
+
+  /// Forgets the checksums of removed `blocks` and evicts their slots.
+  void evict(const std::vector<BlockLocation>& blocks);
 
   /// True when the attached topology is racked and sized for this DFS —
   /// the gate for transfer recording and rack-aware behaviour.

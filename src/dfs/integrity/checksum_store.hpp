@@ -10,9 +10,9 @@
 // A read that lands on a marked copy *succeeds* — that is the point of
 // silent corruption. With verification off the reader receives a
 // deterministic bit-flipped view of the payload (corrupt_copy); with
-// verification on the Dfs recomputes the CRC, detects the mismatch, falls
-// through to a healthy source and read-repairs the bad copy (clearing the
-// mark models rewriting good bytes over the quarantined replica).
+// verification on the Dfs detects the mark and read-repairs the bad copy
+// (clearing the mark models rewriting good bytes over the quarantined
+// copy), and the scrubber finds it by recomputing the CRC.
 #pragma once
 
 #include <cstdint>

@@ -1,13 +1,23 @@
 #include "dfs/namenode.hpp"
 
-#include <algorithm>
-
 #include "common/error.hpp"
 #include "dfs/path.hpp"
 
 namespace mri::dfs {
 
 NameNode::NameNode() : root_(std::make_unique<Inode>()) {}
+
+template <typename Fn>
+void NameNode::for_each_file(Inode& node, const std::string& path,
+                             const Fn& fn) {
+  if (!node.is_dir) {
+    fn(path, node);
+    return;
+  }
+  for (const auto& [name, child] : node.children) {
+    for_each_file(*child, path + "/" + name, fn);
+  }
+}
 
 NameNode::Inode* NameNode::find(const std::string& path) const {
   Inode* node = root_.get();
@@ -130,42 +140,13 @@ std::vector<std::string> NameNode::list(const std::string& dir) const {
   return names;  // std::map keeps them sorted
 }
 
-void NameNode::collect_files(const Inode& node, const std::string& path,
-                             std::vector<BlockLocation>* blocks,
-                             std::vector<std::string>* paths) {
-  if (!node.is_dir) {
-    blocks->insert(blocks->end(), node.blocks.begin(), node.blocks.end());
-    if (paths != nullptr) paths->push_back(path);
-    return;
-  }
-  for (const auto& [name, child] : node.children) {
-    collect_files(*child, path + "/" + name, blocks, paths);
-  }
-}
-
-void NameNode::snapshot_inode(const Inode& node, const std::string& path,
-                              std::vector<FileInfo>* out) {
-  if (!node.is_dir) {
-    out->push_back(FileInfo{path, node.tier, node.blocks});
-    return;
-  }
-  for (const auto& [name, child] : node.children) {
-    snapshot_inode(*child, path + "/" + name, out);
-  }
-}
-
 std::vector<NameNode::FileInfo> NameNode::snapshot_files() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::vector<FileInfo> out;
-  snapshot_inode(*root_, "", &out);
+  for_each_file(*root_, "", [&out](const std::string& path, const Inode& f) {
+    out.push_back(FileInfo{path, f.tier, f.blocks});
+  });
   return out;
-}
-
-std::size_t NameNode::count_files(const Inode& node) {
-  if (!node.is_dir) return 1;
-  std::size_t n = 0;
-  for (const auto& [name, child] : node.children) n += count_files(*child);
-  return n;
 }
 
 std::vector<BlockLocation> NameNode::remove(
@@ -183,7 +164,10 @@ std::vector<BlockLocation> NameNode::remove(
     throw DfsError("directory not empty (pass recursive=true): " + path);
   }
   std::vector<BlockLocation> removed;
-  collect_files(*victim, path, &removed, removed_paths);
+  for_each_file(*victim, path, [&](const std::string& p, const Inode& f) {
+    removed.insert(removed.end(), f.blocks.begin(), f.blocks.end());
+    if (removed_paths != nullptr) removed_paths->push_back(p);
+  });
   dir->children.erase(it);
   return removed;
 }
@@ -209,96 +193,26 @@ void NameNode::rename(const std::string& raw_from, const std::string& raw_to) {
 
 std::size_t NameNode::file_count() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return count_files(*root_);
-}
-
-void NameNode::repair_inode(
-    Inode* inode, const std::string& path, int node, int target_replication,
-    const std::function<int(const BlockLocation&, int cell)>& replicate,
-    BlockRepairSummary* out) {
-  if (!inode->is_dir) {
-    bool had_loss = false;
-    for (BlockLocation& loc : inode->blocks) {
-      if (loc.is_ec()) {
-        // Slot order is cell identity: mark this node's cells lost in place
-        // instead of erasing them.
-        int newly_lost = 0;
-        for (int& holder : loc.replicas) {
-          if (holder == node) {
-            holder = -1;
-            ++newly_lost;
-          }
-        }
-        int live = 0;
-        for (int holder : loc.replicas) live += holder >= 0 ? 1 : 0;
-        if (live < loc.ec_k) {
-          if (newly_lost > 0 && live + newly_lost >= loc.ec_k) {
-            // Fewer than k survivors: the stripe is undecodable, gone for
-            // good. Only the kill that crossed the threshold reports it.
-            ++out->blocks_lost;
-            had_loss = true;
-          }
-          continue;
-        }
-        // Rebuild every hole (including ones left by earlier kills that
-        // found no eligible target) while the stripe is still decodable.
-        for (std::size_t cell = 0; cell < loc.replicas.size(); ++cell) {
-          if (loc.replicas[cell] >= 0) continue;
-          const int placed = replicate(loc, static_cast<int>(cell));
-          if (placed < 0) continue;  // no eligible node; stay degraded
-          loc.replicas[cell] = placed;
-          ++out->ec_cells_reconstructed;
-          out->ec_reconstructed_bytes += loc.cell_bytes();
-        }
-        continue;
-      }
-      auto it = std::find(loc.replicas.begin(), loc.replicas.end(), node);
-      if (it == loc.replicas.end()) continue;
-      loc.replicas.erase(it);
-      if (loc.replicas.empty()) {
-        // Last replica gone: keep the block registered so reads fail fast
-        // with UnrecoverableBlock rather than "no such file".
-        ++out->blocks_lost;
-        had_loss = true;
-        continue;
-      }
-      while (static_cast<int>(loc.replicas.size()) < target_replication) {
-        const int placed = replicate(loc, -1);
-        if (placed < 0) break;  // no eligible node left; stay under-replicated
-        loc.replicas.push_back(placed);
-        ++out->re_replicated_blocks;
-        out->re_replicated_bytes += loc.length;
-      }
-    }
-    if (had_loss) out->lost_files.push_back(path);
-    return;
-  }
-  for (auto& [name, child] : inode->children) {
-    repair_inode(child.get(), path + "/" + name, node, target_replication,
-                 replicate, out);
-  }
-}
-
-BlockRepairSummary NameNode::repair_after_node_loss(
-    int node, int target_replication,
-    const std::function<int(const BlockLocation&, int cell)>& replicate) {
-  MRI_REQUIRE(target_replication >= 1, "target replication must be >= 1");
-  std::lock_guard<std::mutex> lock(mu_);
-  BlockRepairSummary out;
-  repair_inode(root_.get(), "", node, target_replication, replicate, &out);
-  return out;
-}
-
-std::uint64_t NameNode::sum_file_bytes(const Inode& node) {
-  if (!node.is_dir) return node.size;
-  std::uint64_t n = 0;
-  for (const auto& [name, child] : node.children) n += sum_file_bytes(*child);
+  std::size_t n = 0;
+  for_each_file(*root_, "", [&n](const std::string&, const Inode&) { ++n; });
   return n;
+}
+
+void NameNode::update_blocks(
+    const std::function<void(const std::string& path,
+                             std::vector<BlockLocation>& blocks)>& fn) {
+  std::lock_guard<std::mutex> lock(mu_);
+  for_each_file(*root_, "", [&fn](const std::string& path, Inode& f) {
+    fn(path, f.blocks);
+  });
 }
 
 std::uint64_t NameNode::total_logical_bytes() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return sum_file_bytes(*root_);
+  std::uint64_t n = 0;
+  for_each_file(*root_, "",
+                [&n](const std::string&, const Inode& f) { n += f.size; });
+  return n;
 }
 
 }  // namespace mri::dfs

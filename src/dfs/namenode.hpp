@@ -15,24 +15,6 @@
 
 namespace mri::dfs {
 
-/// Outcome of repair_after_node_loss(): re-replication traffic plus blocks
-/// whose last replica died with the node.
-struct BlockRepairSummary {
-  std::uint64_t re_replicated_bytes = 0;
-  int re_replicated_blocks = 0;
-  int blocks_lost = 0;
-  /// Erasure-coded stripe cells rebuilt by decode from k survivors (counted
-  /// separately from re_replicated_* — reconstruction reads k cells to
-  /// rewrite one, replication copies one replica verbatim).
-  int ec_cells_reconstructed = 0;
-  std::uint64_t ec_reconstructed_bytes = 0;
-  /// Paths of files that lost at least one block entirely (every replica
-  /// dead, or fewer than k cells of a stripe surviving). The engine layer
-  /// uses these to trigger lineage recomputation of memory-tier
-  /// intermediates instead of fail-fast.
-  std::vector<std::string> lost_files;
-};
-
 class NameNode {
  public:
   NameNode();
@@ -95,21 +77,14 @@ class NameNode {
   /// independent of replication factor or parity overhead.
   std::uint64_t total_logical_bytes() const;
 
-  /// Node-loss repair (HDFS block management): removes `node` from every
-  /// file's replica lists, then restores each under-replicated block toward
-  /// `target_replication` by calling `replicate(loc, cell)`, which copies
-  /// the payload from a surviving replica of `loc` (cell == -1, plain
-  /// replication) or reconstructs stripe cell `cell` from k survivors
-  /// (erasure-coded blocks) onto a new node and returns that node's id (or
-  /// -1 when no eligible node is left — the block stays degraded). For EC
-  /// blocks the dead node's slots are set to -1 (slot order is cell
-  /// identity) and every hole is rebuilt while >= k cells survive; with
-  /// fewer survivors the stripe is lost. Blocks whose last replica died
-  /// remain registered so reads surface UnrecoverableBlock instead of "no
-  /// such file". Runs atomically under the namespace lock.
-  BlockRepairSummary repair_after_node_loss(
-      int node, int target_replication,
-      const std::function<int(const BlockLocation&, int cell)>& replicate);
+  /// Calls `fn(path, blocks)` for every file in sorted tree-walk order,
+  /// atomically under the namespace lock; `fn` may edit the block list in
+  /// place (the node-loss repair walk). Blocks whose every slot died stay
+  /// registered, so reads surface UnrecoverableBlock instead of "no such
+  /// file".
+  void update_blocks(
+      const std::function<void(const std::string& path,
+                               std::vector<BlockLocation>& blocks)>& fn);
 
  private:
   struct Inode {
@@ -122,17 +97,11 @@ class NameNode {
 
   Inode* find(const std::string& path) const;
   Inode* find_or_create_dir(const std::string& path);
-  static void repair_inode(
-      Inode* inode, const std::string& path, int node, int target_replication,
-      const std::function<int(const BlockLocation&, int cell)>& replicate,
-      BlockRepairSummary* out);
-  static std::uint64_t sum_file_bytes(const Inode& node);
-  static void collect_files(const Inode& node, const std::string& path,
-                            std::vector<BlockLocation>* blocks,
-                            std::vector<std::string>* paths);
-  static void snapshot_inode(const Inode& node, const std::string& path,
-                             std::vector<FileInfo>* out);
-  static std::size_t count_files(const Inode& node);
+  /// Calls fn(path, file_inode) for every file under `node`, in sorted
+  /// order.
+  template <typename Fn>
+  static void for_each_file(Inode& node, const std::string& path,
+                            const Fn& fn);
 
   mutable std::mutex mu_;
   std::unique_ptr<Inode> root_;

@@ -76,9 +76,15 @@ Matrix transpose(const Matrix& a) {
   return t;
 }
 
+namespace {
+// std::max(m, NaN) keeps m, so a plain fold would report a NaN inverse as
+// residual 0; once NaN appears it must stick.
+double nan_max(double m, double v) { return (v > m || std::isnan(v)) ? v : m; }
+}  // namespace
+
 double max_abs(const Matrix& a) {
   double m = 0.0;
-  for (double v : a.data()) m = std::max(m, std::abs(v));
+  for (double v : a.data()) m = nan_max(m, std::abs(v));
   return m;
 }
 
@@ -88,7 +94,7 @@ double max_abs_diff(const Matrix& a, const Matrix& b) {
   auto ad = a.data();
   auto bd = b.data();
   for (std::size_t i = 0; i < ad.size(); ++i)
-    m = std::max(m, std::abs(ad[i] - bd[i]));
+    m = nan_max(m, std::abs(ad[i] - bd[i]));
   return m;
 }
 

@@ -90,9 +90,10 @@ struct NodeKillOutcome {
   std::uint64_t re_replicated_bytes = 0;
   int re_replicated_blocks = 0;
   int blocks_lost = 0;
-  /// Simulated duration of the repair traffic when the DFS routed it
-  /// through the flow-level network model (racked topology); 0 means "not
-  /// flow-simulated" and the engine falls back to bytes / bandwidth.
+  /// Simulated duration of the repair as the handler timed it (the DFS:
+  /// flow-simulated on a racked topology, else fan-in bytes over its bound
+  /// bandwidth, plus decode CPU); 0 means "not timed" and the engine falls
+  /// back to bytes / bandwidth.
   double re_replication_seconds = 0.0;
   /// Files that lost every replica of at least one block with this kill
   /// (reported by the DFS; the SPIN engine recomputes the lineage-tracked

@@ -1,7 +1,8 @@
 // End-to-end chaos acceptance (§7.4): a deterministic run with one node
 // killed mid-inversion completes with a correct inverse and non-zero
 // recovery accounting, two same-seed runs are bit-identical, and losing
-// every replica of a block fails fast with UnrecoverableBlock.
+// every replica of a block fails fast with UnrecoverableBlock and the same
+// message every run.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -138,13 +139,18 @@ TEST(ChaosEndToEnd, LosingEveryReplicaFailsFast) {
   const E2eRun clean = run_once({});
   ASSERT_TRUE(clean.completed) << clean.error;
   const double kill_at = pick_kill_time(clean);
-  const E2eRun lost = run_once(
-      {{ChaosEventKind::kKillNode, kill_at, kNodes - 1, 1.0}},
-      /*replication=*/1);
+  const std::vector<ChaosEvent> events = {
+      {ChaosEventKind::kKillNode, kill_at, kNodes - 1, 1.0}};
+  const E2eRun lost = run_once(events, /*replication=*/1);
   EXPECT_FALSE(lost.completed)
       << "unreplicated blocks died with the node; the run cannot succeed";
   EXPECT_NE(lost.error.find("nrecoverable"), std::string::npos)
       << "failure must surface UnrecoverableBlock, got: " << lost.error;
+  // The message names the block by its index within the file, not by its
+  // id (ids follow commit order, which task threads race on), so a
+  // same-seed rerun fails with the same words.
+  const E2eRun again = run_once(events, /*replication=*/1);
+  EXPECT_EQ(lost.error, again.error);
 }
 
 }  // namespace

@@ -1,7 +1,8 @@
-// DFS failure-model invariants: killing a datanode re-replicates its blocks
-// back to the target replication from survivors, dead nodes never serve
-// reads or receive writes, losing every replica fails fast with
-// UnrecoverableBlock, and armed read errors fail over to live replicas.
+// DFS failure-model invariants: killing a datanode restores its blocks to
+// their full slot count from survivors (copies and stripes alike), dead
+// nodes never serve reads or receive writes, losing every replica fails
+// fast with UnrecoverableBlock, and armed read errors fail over to live
+// slots.
 #include "dfs/dfs.hpp"
 
 #include <gtest/gtest.h>
@@ -11,6 +12,7 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "both_policies.hpp"
 #include "sim/chaos.hpp"
 #include "sim/metrics.hpp"
 
@@ -32,27 +34,56 @@ DfsConfig small_blocks(int replication) {
   return cfg;
 }
 
-TEST(DfsChaos, KillReReplicatesBackToTargetReplication) {
-  Dfs fs(5, small_blocks(3));
+// The node-loss path and read failover run under both codecs: copies
+// re-replicate, stripes decode the lost cell; either way every block gets
+// back its full slot count on live nodes.
+class DfsChaosBoth : public ::testing::TestWithParam<StoragePolicy> {};
+
+TEST_P(DfsChaosBoth, KillRestoresEveryBlockToFullWidth) {
+  Dfs fs(5, under(GetParam(), small_blocks(3)));
   const std::string data = payload(1000);
   fs.write_text("/chaos/a", data);
 
   const NodeKillOutcome outcome = fs.kill_datanode(2);
-  EXPECT_GT(outcome.re_replicated_blocks, 0)
-      << "node 2 held no replicas of a 16-block file on 5 nodes?";
-  EXPECT_GT(outcome.re_replicated_bytes, 0u);
+  if (striped(GetParam())) {
+    EXPECT_GT(outcome.ec_cells_reconstructed, 0)
+        << "node 2 held no cells of a 16-stripe file on 5 nodes?";
+    EXPECT_GT(outcome.ec_reconstructed_bytes, 0u);
+    EXPECT_EQ(outcome.re_replicated_blocks, 0);
+  } else {
+    EXPECT_GT(outcome.re_replicated_blocks, 0)
+        << "node 2 held no replicas of a 16-block file on 5 nodes?";
+    EXPECT_GT(outcome.re_replicated_bytes, 0u);
+    EXPECT_EQ(outcome.ec_cells_reconstructed, 0);
+  }
   EXPECT_EQ(outcome.blocks_lost, 0);
   EXPECT_TRUE(fs.datanode_dead(2));
   EXPECT_EQ(fs.live_datanodes(), 4);
 
   for (const BlockLocation& block : fs.file_blocks("/chaos/a")) {
     EXPECT_EQ(block.replicas.size(), 3u)
-        << "block " << block.id << " not restored to target replication";
+        << "block " << block.id << " not restored to its full width";
     EXPECT_EQ(std::count(block.replicas.begin(), block.replicas.end(), 2), 0)
         << "block " << block.id << " still lists the dead node";
+    EXPECT_EQ(std::count(block.replicas.begin(), block.replicas.end(), -1), 0)
+        << "block " << block.id << " still has an empty slot";
   }
   EXPECT_EQ(fs.read_text("/chaos/a"), data) << "reads touched the dead node";
 }
+
+TEST_P(DfsChaosBoth, ReadErrorFailsOverToAnotherSlot) {
+  MetricsRegistry metrics;
+  Dfs fs(3, under(GetParam(), small_blocks(2)), &metrics);
+  const std::string data = payload(100);
+  fs.write_text("/err", data);
+  const int primary = fs.file_blocks("/err").front().replicas.front();
+
+  fs.inject_read_error(primary);
+  EXPECT_EQ(fs.read_text("/err"), data) << "failover to another slot";
+  EXPECT_GE(metrics.value("dfs_read_errors_survived"), 1u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Policies, DfsChaosBoth, kBothPolicies, policy_name);
 
 TEST(DfsChaos, NewWritesAvoidDeadNodes) {
   Dfs fs(4, small_blocks(3));
@@ -86,18 +117,6 @@ TEST(DfsChaos, KillIsIdempotentPerNode) {
   EXPECT_EQ(second.re_replicated_blocks, 0);
   EXPECT_EQ(second.re_replicated_bytes, 0u);
   EXPECT_EQ(fs.live_datanodes(), 3);
-}
-
-TEST(DfsChaos, ReadErrorFailsOverToAnotherReplica) {
-  MetricsRegistry metrics;
-  Dfs fs(3, small_blocks(2), &metrics);
-  const std::string data = payload(100);
-  fs.write_text("/err", data);
-  const int primary = fs.file_blocks("/err").front().replicas.front();
-
-  fs.inject_read_error(primary);
-  EXPECT_EQ(fs.read_text("/err"), data) << "failover to the second replica";
-  EXPECT_GE(metrics.value("dfs_read_errors_survived"), 1u);
 }
 
 TEST(DfsChaos, ReadErrorWithoutAnotherReplicaIsTransient) {

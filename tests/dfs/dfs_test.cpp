@@ -5,44 +5,49 @@
 #include <thread>
 
 #include "common/thread_pool.hpp"
+#include "both_policies.hpp"
 
 namespace mri::dfs {
 namespace {
 
-TEST(Dfs, TextRoundTrip) {
-  Dfs fs(3);
+// Round trips run under both codecs: copies serve the stored payload,
+// stripes reassemble it from their data cells.
+class DfsRoundTrip : public ::testing::TestWithParam<StoragePolicy> {};
+
+TEST_P(DfsRoundTrip, Text) {
+  Dfs fs(3, under(GetParam()));
   fs.write_text("/a/hello.txt", "hello world");
   EXPECT_EQ(fs.read_text("/a/hello.txt"), "hello world");
 }
 
-TEST(Dfs, DoubleRoundTrip) {
-  Dfs fs(3);
+TEST_P(DfsRoundTrip, Doubles) {
+  Dfs fs(3, under(GetParam()));
   std::vector<double> values = {1.5, -2.25, 1e308, 0.0};
   fs.write_doubles("/v.bin", values);
   EXPECT_EQ(fs.read_doubles("/v.bin"), values);
 }
 
-TEST(Dfs, EmptyFile) {
-  Dfs fs(2);
+TEST_P(DfsRoundTrip, EmptyFile) {
+  Dfs fs(3, under(GetParam()));
   fs.write_text("/empty", "");
   EXPECT_EQ(fs.file_size("/empty"), 0u);
   EXPECT_EQ(fs.read_text("/empty"), "");
 }
 
-TEST(Dfs, MultiBlockFile) {
+TEST_P(DfsRoundTrip, MultiBlockFile) {
   DfsConfig cfg;
   cfg.block_size = 16;  // force many blocks
-  Dfs fs(3, cfg);
+  Dfs fs(3, under(GetParam(), cfg));
   std::string payload;
   for (int i = 0; i < 100; ++i) payload += "0123456789";
   fs.write_text("/big", payload);
   EXPECT_EQ(fs.read_text("/big"), payload);
 }
 
-TEST(Dfs, SeekAcrossBlocks) {
+TEST_P(DfsRoundTrip, SeekAcrossBlocks) {
   DfsConfig cfg;
   cfg.block_size = 8;
-  Dfs fs(2, cfg);
+  Dfs fs(3, under(GetParam(), cfg));
   std::vector<double> values(10);
   for (int i = 0; i < 10; ++i) values[static_cast<std::size_t>(i)] = i;
   fs.write_doubles("/v", values);
@@ -51,6 +56,8 @@ TEST(Dfs, SeekAcrossBlocks) {
   EXPECT_EQ(r.read_double(), 5.0);
   EXPECT_EQ(r.read_double(), 6.0);
 }
+
+INSTANTIATE_TEST_SUITE_P(Policies, DfsRoundTrip, kBothPolicies, policy_name);
 
 TEST(Dfs, ReadAccounting) {
   MetricsRegistry metrics;

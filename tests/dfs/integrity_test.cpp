@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "both_policies.hpp"
 #include "common/error.hpp"
 #include "dfs/integrity/checksum_store.hpp"
 #include "dfs/integrity/crc32c.hpp"
@@ -89,9 +90,14 @@ TEST(Integrity, VerifyOffServesRottenBytesSilently) {
   EXPECT_EQ(fs.read_text("/rot/a"), read);
 }
 
-TEST(Integrity, VerifyOnDetectsAndReadRepairs) {
+// Read-repair and the scrubber run under both codecs: a copy is repaired
+// in place from a healthy replica, a stripe cell is decoded around and
+// rebuilt from k clean survivors.
+class IntegrityBoth : public ::testing::TestWithParam<StoragePolicy> {};
+
+TEST_P(IntegrityBoth, VerifyOnDetectsAndReadRepairs) {
   MetricsRegistry metrics;
-  Dfs fs(4, verified(), &metrics);
+  Dfs fs(4, under(GetParam(), verified()), &metrics);
   const std::string data = payload(200);
   fs.write_text("/fix/a", data);
   const int primary = fs.file_blocks("/fix/a").front().replicas.front();
@@ -103,16 +109,50 @@ TEST(Integrity, VerifyOnDetectsAndReadRepairs) {
       << "verification must repair before serving";
   const IntegrityStats stats = fs.integrity_stats();
   EXPECT_EQ(stats.corruptions_detected, 1);
-  EXPECT_EQ(stats.cells_repaired_copy, 1);
+  EXPECT_EQ(repaired_by(GetParam(), stats), 1);
   EXPECT_EQ(stats.cells_quarantined, 1);
   ASSERT_EQ(stats.repairs.size(), 1u);
-  EXPECT_EQ(stats.repairs.front().kind, std::string("copy"));
+  EXPECT_EQ(stats.repairs.front().kind,
+            std::string(striped(GetParam()) ? "ec" : "copy"));
   EXPECT_FALSE(stats.repairs.front().by_scrubber);
 
   // The mark is cleared: later reads serve clean bytes with no new repair.
   EXPECT_EQ(fs.read_text("/fix/a"), data);
-  EXPECT_EQ(fs.integrity_stats().cells_repaired_copy, 1);
+  EXPECT_EQ(repaired_by(GetParam(), fs.integrity_stats()), 1);
 }
+
+TEST_P(IntegrityBoth, ScrubberCatchesCorruptionNoReadTouches) {
+  DfsConfig cfg = verified();
+  cfg.scrub_interval_seconds = 10.0;
+  Dfs fs(4, under(GetParam(), cfg));
+  const CostModel model = CostModel::ec2_medium();
+  ChaosEngine chaos;
+  fs.bind_chaos(&chaos, model.network_bandwidth, &model);
+  const std::string data = payload(200);
+  fs.write_text("/cold/a", data);
+  const int primary = fs.file_blocks("/cold/a").front().replicas.front();
+  fs.corrupt_block(primary, /*at=*/2.0);
+
+  chaos.advance_to(5.0);  // before the first interval boundary: no pass yet
+  EXPECT_EQ(fs.integrity_stats().scrub_passes, 0);
+
+  chaos.advance_to(25.0);  // passes at t=10 and t=20
+  const IntegrityStats stats = fs.integrity_stats();
+  EXPECT_EQ(stats.scrub_passes, 2);
+  EXPECT_EQ(stats.corruptions_detected, 1);
+  EXPECT_EQ(repaired_by(GetParam(), stats), 1);
+  EXPECT_GT(stats.scrub_bytes_scanned, 0u);
+  EXPECT_GT(stats.scrub_seconds, 0.0);
+  ASSERT_EQ(stats.repairs.size(), 1u);
+  EXPECT_TRUE(stats.repairs.front().by_scrubber);
+  ASSERT_EQ(stats.scrubs.size(), 2u);
+  EXPECT_EQ(stats.scrubs.front().cells_repaired, 1);
+  EXPECT_EQ(stats.scrubs.back().cells_repaired, 0);
+
+  EXPECT_EQ(fs.read_text("/cold/a"), data);
+}
+
+INSTANTIATE_TEST_SUITE_P(Policies, IntegrityBoth, kBothPolicies, policy_name);
 
 TEST(Integrity, EcDegradedReadDecodesAroundExactlyKCleanCells) {
   DfsConfig cfg = verified(3, 1024);
@@ -257,37 +297,6 @@ TEST(Integrity, MemoryTierCorruptionRoutesThroughLineage) {
   ASSERT_EQ(recorder.corrupted.size(), 1u);
   EXPECT_EQ(recorder.corrupted.front(), "/mem/p");
   fs.set_tier_listener(nullptr);
-}
-
-TEST(Integrity, ScrubberCatchesCorruptionNoReadTouches) {
-  DfsConfig cfg = verified();
-  cfg.scrub_interval_seconds = 10.0;
-  Dfs fs(4, cfg);
-  const CostModel model = CostModel::ec2_medium();
-  ChaosEngine chaos;
-  fs.bind_chaos(&chaos, model.network_bandwidth, &model);
-  const std::string data = payload(200);
-  fs.write_text("/cold/a", data);
-  const int primary = fs.file_blocks("/cold/a").front().replicas.front();
-  fs.corrupt_block(primary, /*at=*/2.0);
-
-  chaos.advance_to(5.0);  // before the first interval boundary: no pass yet
-  EXPECT_EQ(fs.integrity_stats().scrub_passes, 0);
-
-  chaos.advance_to(25.0);  // passes at t=10 and t=20
-  const IntegrityStats stats = fs.integrity_stats();
-  EXPECT_EQ(stats.scrub_passes, 2);
-  EXPECT_EQ(stats.corruptions_detected, 1);
-  EXPECT_EQ(stats.cells_repaired_copy, 1);
-  EXPECT_GT(stats.scrub_bytes_scanned, 0u);
-  EXPECT_GT(stats.scrub_seconds, 0.0);
-  ASSERT_EQ(stats.repairs.size(), 1u);
-  EXPECT_TRUE(stats.repairs.front().by_scrubber);
-  ASSERT_EQ(stats.scrubs.size(), 2u);
-  EXPECT_EQ(stats.scrubs.front().cells_repaired, 1);
-  EXPECT_EQ(stats.scrubs.back().cells_repaired, 0);
-
-  EXPECT_EQ(fs.read_text("/cold/a"), data);
 }
 
 TEST(Integrity, SameSequenceIsBitIdenticalAcrossInstances) {

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+
 #include "matrix/generate.hpp"
 
 namespace mri {
@@ -110,34 +113,6 @@ TEST(Ops, MatmulIntoShapeMismatchThrows) {
   EXPECT_THROW(matmul_into(a, b, &wrong), InvalidArgument);
 }
 
-// The pre-kernel-engine free functions survive as deprecated inline
-// wrappers; they must keep producing the same numbers as the matmul()
-// entry point they forward to.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-TEST(Ops, DeprecatedWrappersForwardToMatmul) {
-  const Matrix a = random_matrix(7, 9, 21, -1, 1);
-  const Matrix b = random_matrix(9, 5, 22, -1, 1);
-  EXPECT_EQ(multiply(a, b), matmul(a, b));
-  MatmulOptions naive_opts;
-  naive_opts.backend = kernels::Backend::kNaive;
-  EXPECT_EQ(multiply_naive_ijk(a, b), matmul(a, b, naive_opts));
-  MatmulOptions bt_opts;
-  bt_opts.transposed_b = true;
-  const Matrix bt = transpose(b);
-  EXPECT_EQ(multiply_transposed_b(a, bt), matmul(a, bt, bt_opts));
-  Matrix c1 = random_matrix(7, 5, 23, -1, 1);
-  Matrix c2 = c1;
-  multiply_accumulate(a, b, &c1);
-  matmul_into(a, b, &c2);
-  EXPECT_EQ(c1, c2);
-  const IoStats legacy = multiply_cost(3, 4, 5);
-  const IoStats now = kernels::kernel_cost(kernels::Backend::kTiled, 3, 4, 5);
-  EXPECT_EQ(legacy.mults, now.mults);
-  EXPECT_EQ(legacy.adds, now.adds);
-}
-#pragma GCC diagnostic pop
-
 TEST(Ops, AddSubtractRoundTrip) {
   const Matrix a = random_matrix(7, 9, 4, -1, 1);
   const Matrix b = random_matrix(7, 9, 5, -1, 1);
@@ -177,6 +152,23 @@ TEST(Ops, InversionResidualOfExactInverse) {
 TEST(Ops, InversionResidualDetectsWrongInverse) {
   Matrix a(2, 2, {4, 7, 2, 6});
   EXPECT_GT(inversion_residual(a, Matrix::identity(2)), 1.0);
+}
+
+// A NaN anywhere must surface as a NaN residual, never as 0: std::max-style
+// folds drop NaN, which would let a NaN inverse pass every `< tol` gate.
+TEST(Ops, NanPropagatesThroughResidual) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  Matrix m(2, 2, {1, nan, 3, 2});
+  EXPECT_TRUE(std::isnan(max_abs(m)));
+  EXPECT_TRUE(std::isnan(max_abs_diff(m, Matrix(2, 2))));
+  EXPECT_TRUE(std::isnan(max_abs_diff(Matrix(2, 2), m)));
+
+  Matrix a(2, 2, {4, 7, 2, 6});
+  Matrix inv(2, 2, {0.6, -0.7, -0.2, 0.4});
+  inv(1, 1) = nan;
+  const double residual = inversion_residual(a, inv);
+  EXPECT_TRUE(std::isnan(residual));
+  EXPECT_FALSE(residual < 1e-8) << "a NaN inverse must fail the gate";
 }
 
 TEST(Ops, KernelCostCountsFlops) {
