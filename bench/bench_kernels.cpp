@@ -6,7 +6,9 @@
 // Run with --benchmark_format=json for machine-readable per-backend
 // GFLOP/s: items_processed counts n³ multiply-adds, so items_per_second is
 // directly comparable across backends (the kernels-smoke CI job asserts the
-// selected non-naive backend reaches >= 3x naive on the 1024² GEMM).
+// selected non-naive backend reaches >= 3x naive on the 1024² GEMM). The
+// kernel captures use real time: the threaded backend works on pool
+// threads, so main-thread CPU time would overstate its rate many times.
 #include <benchmark/benchmark.h>
 
 #include "dfs/dfs.hpp"
@@ -29,13 +31,21 @@ void BM_Gemm(benchmark::State& state, kernels::Backend backend) {
   state.SetItemsProcessed(state.iterations() * n * n * n);
 }
 BENCHMARK_CAPTURE(BM_Gemm, naive, kernels::Backend::kNaive)
-    ->Arg(64)->Arg(256)->Arg(1024)->Unit(benchmark::kMillisecond);
+    ->Arg(64)->Arg(256)->Arg(1024)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 BENCHMARK_CAPTURE(BM_Gemm, tiled, kernels::Backend::kTiled)
-    ->Arg(64)->Arg(256)->Arg(1024)->Unit(benchmark::kMillisecond);
+    ->Arg(64)->Arg(256)->Arg(1024)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 BENCHMARK_CAPTURE(BM_Gemm, simd, kernels::Backend::kSimd)
-    ->Arg(64)->Arg(256)->Arg(1024)->Unit(benchmark::kMillisecond);
+    ->Arg(64)->Arg(256)->Arg(1024)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 BENCHMARK_CAPTURE(BM_Gemm, threaded, kernels::Backend::kThreaded)
-    ->Arg(256)->Arg(1024)->Unit(benchmark::kMillisecond);
+    ->Arg(256)->Arg(1024)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 void BM_GemmTransposedB(benchmark::State& state, kernels::Backend backend) {
   const Index n = state.range(0);
@@ -48,11 +58,17 @@ void BM_GemmTransposedB(benchmark::State& state, kernels::Backend backend) {
   state.SetItemsProcessed(state.iterations() * n * n * n);
 }
 BENCHMARK_CAPTURE(BM_GemmTransposedB, naive, kernels::Backend::kNaive)
-    ->Arg(64)->Arg(256)->Unit(benchmark::kMillisecond);
+    ->Arg(64)->Arg(256)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 BENCHMARK_CAPTURE(BM_GemmTransposedB, tiled, kernels::Backend::kTiled)
-    ->Arg(64)->Arg(256)->Arg(1024)->Unit(benchmark::kMillisecond);
+    ->Arg(64)->Arg(256)->Arg(1024)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 BENCHMARK_CAPTURE(BM_GemmTransposedB, simd, kernels::Backend::kSimd)
-    ->Arg(64)->Arg(256)->Arg(1024)->Unit(benchmark::kMillisecond);
+    ->Arg(64)->Arg(256)->Arg(1024)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 void BM_TrsmLowerLeft(benchmark::State& state, kernels::Backend backend) {
   const Index n = state.range(0);
@@ -69,11 +85,17 @@ void BM_TrsmLowerLeft(benchmark::State& state, kernels::Backend backend) {
   state.SetItemsProcessed(state.iterations() * n * n * n / 2);
 }
 BENCHMARK_CAPTURE(BM_TrsmLowerLeft, naive, kernels::Backend::kNaive)
-    ->Arg(256)->Arg(512)->Unit(benchmark::kMillisecond);
+    ->Arg(256)->Arg(512)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 BENCHMARK_CAPTURE(BM_TrsmLowerLeft, tiled, kernels::Backend::kTiled)
-    ->Arg(256)->Arg(512)->Unit(benchmark::kMillisecond);
+    ->Arg(256)->Arg(512)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 BENCHMARK_CAPTURE(BM_TrsmLowerLeft, simd, kernels::Backend::kSimd)
-    ->Arg(256)->Arg(512)->Unit(benchmark::kMillisecond);
+    ->Arg(256)->Arg(512)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 void BM_LuDecompose(benchmark::State& state) {
   const Index n = state.range(0);

@@ -31,6 +31,7 @@
 #include <sstream>
 #include <vector>
 
+#include "common/json.hpp"
 #include "harness.hpp"
 #include "sim/chaos.hpp"
 
@@ -137,16 +138,6 @@ double pick_kill_time(const EcRun& clean, double fraction) {
   }
   MRI_REQUIRE(best >= 0.0, "clean run has no job with a reduce phase");
   return best;
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  for (char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    if (c == '\n') { out += "\\n"; continue; }
-    out += c;
-  }
-  return out;
 }
 
 }  // namespace

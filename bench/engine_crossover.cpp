@@ -25,6 +25,7 @@
 #include <sstream>
 #include <vector>
 
+#include "common/json.hpp"
 #include "harness.hpp"
 #include "sim/chaos.hpp"
 
@@ -40,7 +41,7 @@ struct EngineRun {
   double paper_hours = 0.0;
   double residual = 0.0;
   int tasks_recomputed = 0;
-  engine::EngineStats engine_stats;  // zero for disk-tier runs
+  EngineReport engine_stats;  // zero for disk-tier runs
   bool engine_active = false;
   RecoveryStats chaos_stats;
   std::vector<mr::JobResult> jobs;
@@ -121,16 +122,6 @@ double pick_kill_time(const EngineRun& clean, double fraction) {
   return best;
 }
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  for (char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    if (c == '\n') { out += "\\n"; continue; }
-    out += c;
-  }
-  return out;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -179,10 +170,10 @@ int main(int argc, char** argv) {
                 "(%.2fx, %llu cache hits) | scalapack %7.2f h\n",
                 m.name, static_cast<long long>(p.setup.n),
                 p.hadoop.paper_hours, p.spin.paper_hours, speedup,
-                static_cast<unsigned long long>(p.spin.engine_stats.cache.hits),
+                static_cast<unsigned long long>(p.spin.engine_stats.cache_hits),
                 p.scalapack.paper_seconds / 3600.0);
     if (speedup <= 1.0) crossover_ok = false;
-    if (!p.spin.engine_active || p.spin.engine_stats.cache.hits == 0) {
+    if (!p.spin.engine_active || p.spin.engine_stats.cache_hits == 0) {
       fusion_ok = false;
     }
     if (p.hadoop.residual >= residual_bound ||
@@ -239,14 +230,14 @@ int main(int argc, char** argv) {
                                          /*cache=*/16ull << 10, {}, true);
   const bool spill_ok = spill_run.completed &&
                         spill_run.residual < residual_bound &&
-                        spill_run.engine_stats.cache.evictions > 0 &&
-                        spill_run.engine_stats.cache.spilled_bytes > 0;
+                        spill_run.engine_stats.cache_evictions > 0 &&
+                        spill_run.engine_stats.spilled_bytes > 0;
   std::printf("\n16 KB/node cache: %llu eviction(s), %llu bytes spilled, "
               "residual %.2e -> %s\n",
               static_cast<unsigned long long>(
-                  spill_run.engine_stats.cache.evictions),
+                  spill_run.engine_stats.cache_evictions),
               static_cast<unsigned long long>(
-                  spill_run.engine_stats.cache.spilled_bytes),
+                  spill_run.engine_stats.spilled_bytes),
               spill_run.residual, spill_ok ? "ok" : "FAILED");
 
   // ---- 4. determinism: same-seed spin chaos reports bit-identical ---------
@@ -277,9 +268,9 @@ int main(int argc, char** argv) {
          << ",\"scalapack_hours\":" << p.scalapack.paper_seconds / 3600.0
          << ",\"speedup_spin_vs_hadoop\":"
          << p.hadoop.paper_hours / p.spin.paper_hours
-         << ",\"cache_hits\":" << p.spin.engine_stats.cache.hits
-         << ",\"cache_insertions\":" << p.spin.engine_stats.cache.insertions
-         << ",\"bytes_spilled\":" << p.spin.engine_stats.cache.spilled_bytes
+         << ",\"cache_hits\":" << p.spin.engine_stats.cache_hits
+         << ",\"cache_insertions\":" << p.spin.engine_stats.cache_insertions
+         << ",\"bytes_spilled\":" << p.spin.engine_stats.spilled_bytes
          << ",\"residual_hadoop\":" << p.hadoop.residual
          << ",\"residual_spin\":" << p.spin.residual
          << ",\"residual_scalapack\":" << p.scalapack.residual << '}';
@@ -307,8 +298,8 @@ int main(int argc, char** argv) {
        << ",\"error\":\"" << json_escape(spin_kill.error.substr(0, 120))
        << "\"}},\"spill\":{\"cache_bytes_per_node\":" << (16ull << 10)
        << ",\"completed\":" << (spill_run.completed ? "true" : "false")
-       << ",\"evictions\":" << spill_run.engine_stats.cache.evictions
-       << ",\"bytes_spilled\":" << spill_run.engine_stats.cache.spilled_bytes
+       << ",\"evictions\":" << spill_run.engine_stats.cache_evictions
+       << ",\"bytes_spilled\":" << spill_run.engine_stats.spilled_bytes
        << ",\"residual\":" << spill_run.residual
        << "},\"deterministic\":" << (deterministic ? "true" : "false")
        << ",\"crossover_ok\":" << (crossover_ok ? "true" : "false")

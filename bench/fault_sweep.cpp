@@ -28,6 +28,7 @@
 #include <memory>
 #include <sstream>
 
+#include "common/json.hpp"
 #include "harness.hpp"
 #include "sim/chaos.hpp"
 
@@ -119,16 +120,6 @@ double pick_kill_time(const ChaosRun& clean, double fraction) {
   }
   MRI_REQUIRE(best >= 0.0, "clean run has no job with a reduce phase");
   return best;
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  for (char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    if (c == '\n') { out += "\\n"; continue; }
-    out += c;
-  }
-  return out;
 }
 
 }  // namespace

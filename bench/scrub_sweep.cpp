@@ -36,6 +36,7 @@
 #include <sstream>
 #include <vector>
 
+#include "common/json.hpp"
 #include "harness.hpp"
 #include "sim/chaos.hpp"
 
@@ -154,16 +155,6 @@ std::vector<ChaosEvent> salted_corruptions(double clean_seconds, int nodes) {
     events.push_back(e);
   }
   return events;
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  for (char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    if (c == '\n') { out += "\\n"; continue; }
-    out += c;
-  }
-  return out;
 }
 
 }  // namespace

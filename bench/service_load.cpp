@@ -18,7 +18,7 @@
 //                  instead of building unbounded queues).
 //
 // Emits BENCH_pr3.json (--out PATH) with the throughput / percentile /
-// fairness keys the CI service-bench step validates.
+// fairness keys the CI bench-probes job validates.
 #include <cmath>
 #include <fstream>
 #include <sstream>

@@ -71,6 +71,13 @@
 // the residual blows up; with it on every corruption is detected and
 // repaired (replica copy, EC decode, or lineage recompute) and the inverse
 // stays at machine epsilon. The report's "integrity" section has the counts.
+//
+// Exit codes: 0 success; 1 the run finished but failed its check (residual
+// >= 1e-5, or --serve admitted no request) or hit an internal error; 2 bad
+// usage or input (flags, unreadable or ragged or non-finite matrix text);
+// 3 numerical failure (a singular matrix); 4 data loss (every copy of a
+// block gone, or a job out of retries). Errors print "error: <message>" to
+// stderr.
 #include <fstream>
 #include <memory>
 #include <sstream>
@@ -218,6 +225,25 @@ void apply_kernel_backend_flag(const mri::CliOptions& cli) {
                                      "not report; use tiled (cache-blocked "
                                      "scalar, auto-vectorized) instead");
   kernels::set_default_backend(backend);
+}
+
+// The run report's kernel section (both run modes): backend identity, the
+// multiply strategy and the kernel work counted in `delta`.
+mri::KernelReport kernel_report(const mri::kernels::KernelCounters& delta,
+                                mri::core::MultiplyStrategyKind strategy,
+                                int replication, int rounds) {
+  using namespace mri;
+  KernelReport k;
+  k.backend = kernels::backend_name(kernels::default_backend());
+  k.multiply_strategy = core::multiply_strategy_name(strategy);
+  k.replication = replication;
+  k.multiply_rounds = rounds;
+  k.gemm_calls = delta.gemm_calls;
+  k.trsm_calls = delta.trsm_calls;
+  k.kernel_flops = delta.flops;
+  k.kernel_seconds = delta.seconds;
+  k.achieved_gflops = delta.gflops();
+  return k;
 }
 
 // Builds the multiply-strategy selection from --multiply-strategy and
@@ -430,16 +456,9 @@ int run_serve(const mri::CliOptions& cli) {
   service::ServiceResult result = svc.run(trace.requests);
   const kernels::KernelCounters kernel_delta =
       kernels::counters_snapshot() - kernel_before;
-  result.report.kernel.backend =
-      kernels::backend_name(kernels::default_backend());
-  result.report.kernel.multiply_strategy =
-      core::multiply_strategy_name(options.inversion.multiply.strategy);
-  result.report.kernel.replication = options.inversion.multiply.replication;
-  result.report.kernel.gemm_calls = kernel_delta.gemm_calls;
-  result.report.kernel.trsm_calls = kernel_delta.trsm_calls;
-  result.report.kernel.kernel_flops = kernel_delta.flops;
-  result.report.kernel.kernel_seconds = kernel_delta.seconds;
-  result.report.kernel.achieved_gflops = kernel_delta.gflops();
+  result.report.kernel = kernel_report(
+      kernel_delta, options.inversion.multiply.strategy,
+      options.inversion.multiply.replication, /*rounds=*/1);
 
   std::printf("%-12s %6s %8s %8s %12s %10s %10s %10s %6s\n", "tenant",
               "weight", "admitted", "rejected", "slot-sec", "p50 (s)",
@@ -478,9 +497,7 @@ int run_serve(const mri::CliOptions& cli) {
   return result.admitted > 0 ? 0 : 1;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run_cli(int argc, char** argv) {
   using namespace mri;
   CliOptions cli(argc, argv);
   const int nodes = static_cast<int>(cli.get_int("nodes", 8));
@@ -607,6 +624,9 @@ int main(int argc, char** argv) {
 
   core::InversionOptions options;
   options.nb = cli.get_int("nb", std::max<Index>(32, a.rows() / 8));
+  MRI_REQUIRE(options.nb >= 1, "--nb is the block order the master LU-"
+                               "decomposes; it must be >= 1, got "
+                                   << options.nb);
   options.cache_capacity_bytes =
       static_cast<std::uint64_t>(cli.get_int("cache-mb", 256)) << 20;
   options.overlap_final_stage = cli.get_bool("overlap", false);
@@ -638,7 +658,7 @@ int main(int argc, char** argv) {
   SimReport report;
   std::vector<mr::JobResult> jobs;
   std::vector<MasterSpan> master_spans;
-  engine::EngineStats engine_stats;
+  EngineReport engine_stats;
   core::MultiplyPlan multiply_plan;
   bool engine_active = false;
   const kernels::KernelCounters kernel_before = kernels::counters_snapshot();
@@ -675,10 +695,10 @@ int main(int argc, char** argv) {
     if (engine_active) {
       std::printf("spin engine: %llu cache hit(s), %llu eviction(s) (%s "
                   "spilled), %d partition(s) recomputed in %d wave(s)\n",
-                  static_cast<unsigned long long>(engine_stats.cache.hits),
+                  static_cast<unsigned long long>(engine_stats.cache_hits),
                   static_cast<unsigned long long>(
-                      engine_stats.cache.evictions),
-                  format_bytes(engine_stats.cache.spilled_bytes).c_str(),
+                      engine_stats.cache_evictions),
+                  format_bytes(engine_stats.spilled_bytes).c_str(),
                   engine_stats.partitions_recomputed,
                   engine_stats.lineage_waves);
     }
@@ -716,6 +736,16 @@ int main(int argc, char** argv) {
                 cluster.cost_model().flops_per_second);
   }
 
+  RunReport run_report;
+  if (!jobs.empty()) {
+    run_report = mr::build_run_report(jobs, cluster, &metrics, master_spans,
+                                      chaos.get(),
+                                      engine_active ? &engine_stats : nullptr,
+                                      &fs);
+    run_report.kernel =
+        kernel_report(kernel_delta, options.multiply.strategy,
+                      multiply_plan.replication, multiply_plan.rounds);
+  }
   const std::string trace_out = cli.get_string("trace-out", "");
   const std::string report_out = cli.get_string("report-out", "");
   if (!trace_out.empty() || !report_out.empty()) {
@@ -723,21 +753,6 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "note: no task traces (engine did not run "
                            "MapReduce jobs); skipping trace/report export\n");
     } else {
-      RunReport run_report =
-          mr::build_run_report(jobs, cluster, &metrics, master_spans,
-                               chaos.get(),
-                               engine_active ? &engine_stats : nullptr, &fs);
-      run_report.kernel.backend =
-          kernels::backend_name(kernels::default_backend());
-      run_report.kernel.multiply_strategy =
-          core::multiply_strategy_name(options.multiply.strategy);
-      run_report.kernel.replication = multiply_plan.replication;
-      run_report.kernel.multiply_rounds = multiply_plan.rounds;
-      run_report.kernel.gemm_calls = kernel_delta.gemm_calls;
-      run_report.kernel.trsm_calls = kernel_delta.trsm_calls;
-      run_report.kernel.kernel_flops = kernel_delta.flops;
-      run_report.kernel.kernel_seconds = kernel_delta.seconds;
-      run_report.kernel.achieved_gflops = kernel_delta.gflops();
       if (!trace_out.empty()) {
         save_json(trace_out, chrome_trace_json(run_report));
         std::printf("chrome trace written to %s (load in chrome://tracing)\n",
@@ -760,12 +775,10 @@ int main(int argc, char** argv) {
               format_bytes(report.io.bytes_read).c_str(),
               format_bytes(report.io.bytes_written).c_str());
   if (chaos) {
-    const RecoveryStats rec = chaos->stats();
-    int recomputed = 0;
-    for (const mr::JobResult& job : jobs) recomputed += job.tasks_recomputed;
+    const RecoveryReport& rec = run_report.recovery;
     std::printf("chaos recovery           : %d node(s) killed, %d task(s) "
                 "recomputed, %s re-replicated, %d block(s) lost\n",
-                rec.nodes_killed, recomputed,
+                rec.nodes_killed, rec.tasks_recomputed,
                 format_bytes(rec.re_replicated_bytes).c_str(),
                 rec.blocks_lost);
     if (rec.ec_cells_reconstructed > 0) {
@@ -781,7 +794,7 @@ int main(int argc, char** argv) {
                   format_bytes(rec.lineage_recomputed_bytes).c_str(),
                   rec.lineage_waves, rec.lineage_recompute_seconds);
     }
-    const dfs::IntegrityStats integrity = fs.integrity_stats();
+    const IntegrityReport& integrity = run_report.integrity;
     if (integrity.corruptions_injected > 0 || integrity.scrub_passes > 0) {
       std::printf("integrity                : %lld corruption(s) injected, "
                   "%lld detected, %lld repaired (%lld copy / %lld ec / %lld "
@@ -810,4 +823,28 @@ int main(int argc, char** argv) {
                 output.c_str());
   }
   return residual < 1e-5 ? 0 : 1;
+}
+
+// Prints `e` and returns `code`, the exit status for its error class.
+int fail(const std::exception& e, int code) {
+  std::fprintf(stderr, "error: %s\n", e.what());
+  return code;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return run_cli(argc, argv);
+  } catch (const mri::InvalidArgument& e) {
+    return fail(e, 2);
+  } catch (const mri::NumericalError& e) {
+    return fail(e, 3);
+  } catch (const mri::DfsError& e) {
+    return fail(e, 4);
+  } catch (const mri::JobError& e) {
+    return fail(e, 4);
+  } catch (const mri::Error& e) {
+    return fail(e, 1);
+  }
 }

@@ -74,7 +74,7 @@ class MapReduceInverter {
     /// (invert/invert_dfs/solve); callers running invert_with on their own
     /// pipeline own their own engine.
     bool engine_active = false;
-    engine::EngineStats engine_stats;
+    EngineReport engine_stats;
   };
 
   /// Ingests `a` into the DFS and inverts it. Throws NumericalError if `a`

@@ -749,11 +749,6 @@ std::uint64_t Dfs::physical_bytes_stored() const {
   return total;
 }
 
-std::vector<StorageReconstructionEvent> Dfs::storage_events() const {
-  std::lock_guard<std::mutex> lock(storage_mu_);
-  return storage_events_;
-}
-
 void Dfs::recompute_hot_residents_locked() const {
   hot_resident_.clear();
   hot_resident_bytes_ = 0;
@@ -769,14 +764,29 @@ void Dfs::recompute_hot_residents_locked() const {
   }
 }
 
-HotCacheStats Dfs::hot_cache_stats() const {
-  std::lock_guard<std::mutex> lock(hot_mu_);
-  HotCacheStats s;
-  s.capacity_bytes = config_.hot_cache_bytes;
-  s.resident_bytes = hot_resident_bytes_;
-  s.resident_files = static_cast<int>(hot_resident_.size());
-  s.hits = hot_hits_;
-  s.hit_bytes = hot_hit_bytes_;
+StorageReport Dfs::storage_report() const {
+  StorageReport s;
+  s.policy = to_string(config_.storage_policy);
+  if (config_.storage_policy == StoragePolicy::kErasureCoded) {
+    s.ec_k = config_.ec.k;
+    s.ec_m = config_.ec.m;
+  }
+  s.logical_bytes = logical_bytes_stored();
+  s.physical_bytes = physical_bytes_stored();
+  s.physical_overhead = s.logical_bytes > 0
+                            ? static_cast<double>(s.physical_bytes) /
+                                  static_cast<double>(s.logical_bytes)
+                            : 0.0;
+  {
+    std::lock_guard<std::mutex> lock(hot_mu_);
+    s.hot_cache_capacity_bytes = config_.hot_cache_bytes;
+    s.hot_cache_resident_bytes = hot_resident_bytes_;
+    s.hot_cache_resident_files = hot_resident_.size();
+    s.hot_cache_hits = hot_hits_;
+    s.hot_cache_hit_bytes = hot_hit_bytes_;
+  }
+  std::lock_guard<std::mutex> lock(storage_mu_);
+  s.reconstructions = reconstructions_;
   return s;
 }
 

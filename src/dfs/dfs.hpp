@@ -39,6 +39,7 @@
 #include "sim/chaos.hpp"
 #include "sim/cost_model.hpp"
 #include "sim/metrics.hpp"
+#include "sim/run_report.hpp"
 
 namespace mri::dfs {
 
@@ -110,25 +111,6 @@ struct DfsConfig {
   /// disk bandwidth and proactively repairs corrupt copies. Requires
   /// verify_checksums.
   double scrub_interval_seconds = 0.0;
-};
-
-/// One erasure-coded reconstruction burst: a node death that rebuilt lost
-/// stripe cells from k survivors (feeds the run report's storage lane).
-struct StorageReconstructionEvent {
-  double at = 0.0;  // simulated time of the node kill
-  int node = -1;    // the node that died
-  int cells = 0;    // stripe cells rebuilt
-  std::uint64_t bytes = 0;   // bytes of rebuilt cell payload
-  double seconds = 0.0;      // simulated duration of the whole repair
-};
-
-/// Namenode hot-block cache occupancy and hit totals.
-struct HotCacheStats {
-  std::uint64_t capacity_bytes = 0;
-  std::uint64_t resident_bytes = 0;
-  int resident_files = 0;
-  std::uint64_t hits = 0;
-  std::uint64_t hit_bytes = 0;
 };
 
 /// Observer of memory-tier lifecycle events, implemented by the engine layer
@@ -333,12 +315,13 @@ class Dfs {
     return namenode_.total_logical_bytes();
   }
 
-  /// Erasure-coded reconstruction bursts applied so far (one per node kill
-  /// that rebuilt at least one stripe cell), in kill order.
-  std::vector<StorageReconstructionEvent> storage_events() const;
-
-  /// Hot-block cache occupancy and hit totals (all zero when disabled).
-  HotCacheStats hot_cache_stats() const;
+  /// The run report's storage section as this filesystem records it: the
+  /// configured policy, logical vs physical footprint, hot-block cache
+  /// occupancy and hits (zero when disabled), and one reconstruction per
+  /// node kill that rebuilt at least one stripe cell, in kill order. The
+  /// traffic totals (parity_bytes and the three after it) stay zero; they
+  /// live in the metrics registry.
+  StorageReport storage_report() const;
 
   // -- failures (chaos engine wiring) --------------------------------------
 
@@ -382,9 +365,10 @@ class Dfs {
   /// unless verify_checksums and a positive interval are configured.
   void scrub_to(double now);
 
-  /// Integrity counters and event lanes (all zero when verification is
-  /// off and no corruption was injected).
-  IntegrityStats integrity_stats() const;
+  /// The run report's integrity section: configuration, counters and event
+  /// lanes (all zero when verification is off and no corruption was
+  /// injected).
+  IntegrityReport integrity_report() const;
 
   /// Installs this filesystem as `chaos`'s kill and read-error handler and
   /// hands it `network_bandwidth` for re-replication-seconds accounting.
@@ -473,15 +457,15 @@ class Dfs {
 
   const CostModel* cost_model_ = nullptr;  // set by bind_chaos
   double chaos_network_bandwidth_ = 0.0;   // set by bind_chaos
-  mutable std::mutex storage_mu_;  // guards storage_events_
-  std::vector<StorageReconstructionEvent> storage_events_;
+  mutable std::mutex storage_mu_;  // guards reconstructions_
+  std::vector<StorageReconstruction> reconstructions_;
 
   // Block-integrity layer (see DfsConfig::verify_checksums). The store and
   // stats are mutable because verification, detection and read-repair all
   // happen on the const read path.
   mutable ChecksumStore checksums_;
   mutable std::mutex integrity_mu_;  // guards integrity_
-  mutable IntegrityStats integrity_;
+  mutable IntegrityReport integrity_;
   double next_scrub_at_ = 0.0;  // driver-thread only (chaos advance)
 
   // Namenode hot-block cache (see DfsConfig::hot_cache_bytes).

@@ -34,51 +34,6 @@ struct CorruptMark {
   double at = 0.0;
 };
 
-/// One repair action, for the report's integrity lane. kind is "copy"
-/// (re-materialized from a healthy replica), "ec" (decoded from k
-/// survivors) or "lineage" (memory-tier partition recomputed). The victim
-/// is identified by path + cell, not block id — ids follow commit order,
-/// which races across task threads, and repair events must stay
-/// bit-identical between same-seed runs.
-struct IntegrityRepairEvent {
-  double at = 0.0;
-  int node = -1;
-  std::string path;
-  int cell = 0;
-  std::uint64_t bytes = 0;
-  const char* kind = "copy";
-  bool by_scrubber = false;
-};
-
-/// One background scrubber pass over the namespace.
-struct ScrubPassEvent {
-  double at = 0.0;
-  double seconds = 0.0;
-  std::uint64_t bytes_scanned = 0;
-  std::int64_t cells_verified = 0;
-  std::int64_t cells_repaired = 0;
-};
-
-/// Integrity counters accumulated by the Dfs (write-path checksumming,
-/// verify-on-read, read-repair, scrubbing). All-zero on a clean run with
-/// verification off, which keeps pre-integrity reports bit-identical.
-struct IntegrityStats {
-  std::int64_t cells_checksummed = 0;   // cells CRC'd on the write path
-  std::int64_t cells_verified = 0;      // cells CRC-checked on read/scrub
-  std::uint64_t bytes_verified = 0;
-  std::int64_t corruptions_injected = 0;
-  std::int64_t corruptions_detected = 0;
-  std::int64_t cells_repaired_copy = 0;
-  std::int64_t cells_repaired_ec = 0;
-  std::int64_t cells_repaired_lineage = 0;
-  std::int64_t cells_quarantined = 0;
-  std::int64_t scrub_passes = 0;
-  std::uint64_t scrub_bytes_scanned = 0;
-  double scrub_seconds = 0.0;
-  std::vector<IntegrityRepairEvent> repairs;
-  std::vector<ScrubPassEvent> scrubs;
-};
-
 /// Thread-safe map of block -> expected cell CRCs plus corrupt-copy marks.
 class ChecksumStore {
  public:

@@ -124,7 +124,7 @@ NodeKillOutcome Dfs::kill_datanode(int node, double at) {
   out.re_replication_seconds = seconds;
   if (out.ec_cells_reconstructed > 0) {
     std::lock_guard<std::mutex> lock(storage_mu_);
-    storage_events_.push_back(StorageReconstructionEvent{
+    reconstructions_.push_back(StorageReconstruction{
         at, node, out.ec_cells_reconstructed, out.ec_reconstructed_bytes,
         seconds});
   }
@@ -383,7 +383,8 @@ double Dfs::repair_corrupt_slot(const BlockLocation& loc,
   const std::uint64_t bytes = loc.cell_bytes();
   double seconds = 0.0;
   const char* kind = "copy";
-  std::int64_t IntegrityStats::*repaired = &IntegrityStats::cells_repaired_copy;
+  std::int64_t IntegrityReport::*repaired =
+      &IntegrityReport::cells_repaired_copy;
   IoStats io;
   if (tier == StorageTier::kMemory) {
     // Single-copy memory tier: no other slot to rebuild from — the engine
@@ -391,13 +392,13 @@ double Dfs::repair_corrupt_slot(const BlockLocation& loc,
     // is free in time (the pristine in-sim payload simply stops being
     // served corrupted).
     kind = "lineage";
-    repaired = &IntegrityStats::cells_repaired_lineage;
+    repaired = &IntegrityReport::cells_repaired_lineage;
     TierListener* listener = tier_listener_.load(std::memory_order_acquire);
     seconds = listener != nullptr ? listener->on_corrupt(norm, at) : 0.0;
   } else if (codec.decodes()) {
     // Decode the bad cell from k clean survivors and ship it back.
     kind = "ec";
-    repaired = &IntegrityStats::cells_repaired_ec;
+    repaired = &IntegrityReport::cells_repaired_ec;
     io.bytes_reconstructed = bytes;
     io.bytes_transferred = bytes;
   } else {
@@ -427,7 +428,7 @@ double Dfs::repair_corrupt_slot(const BlockLocation& loc,
     ++integrity_.corruptions_detected;
     ++integrity_.cells_quarantined;
     ++(integrity_.*repaired);
-    integrity_.repairs.push_back(IntegrityRepairEvent{
+    integrity_.repairs.push_back(IntegrityRepairSpan{
         at, node, norm, codec.cell(slot), bytes, kind, by_scrubber});
   }
   return seconds;
@@ -500,13 +501,19 @@ void Dfs::run_scrub_pass(double at) {
   ++integrity_.scrub_passes;
   integrity_.scrub_bytes_scanned += scanned;
   integrity_.scrub_seconds += pass_seconds;
-  integrity_.scrubs.push_back(
-      ScrubPassEvent{at, pass_seconds, scanned, cells, repaired});
+  integrity_.scrub_spans.push_back(
+      ScrubPassSpan{at, pass_seconds, scanned, cells, repaired});
 }
 
-IntegrityStats Dfs::integrity_stats() const {
-  std::lock_guard<std::mutex> lock(integrity_mu_);
-  return integrity_;
+IntegrityReport Dfs::integrity_report() const {
+  IntegrityReport r;
+  {
+    std::lock_guard<std::mutex> lock(integrity_mu_);
+    r = integrity_;
+  }
+  r.verify_checksums = config_.verify_checksums;
+  r.scrub_interval_seconds = config_.scrub_interval_seconds;
+  return r;
 }
 
 }  // namespace mri::dfs

@@ -41,14 +41,14 @@ IoStats SpinEngine::begin_job(const std::string& name) {
     std::lock_guard<std::mutex> lock(mu_);
     ordinal = ++job_ordinal_;
     job_name_ = name;
-    ext_.job_names.push_back(name);
   }
   IoStats spill;
   for (const auto& ev : cache_.collect_evictions()) {
     fs_->spill_to_disk(ev.path, &spill);
     std::lock_guard<std::mutex> lock(mu_);
     lineage_.mark_spilled(ev.path);
-    ext_.spills.push_back(SpillEvent{ordinal, ev.path, ev.size});
+    ext_.spills.push_back(
+        EngineSpillSpan{/*at=*/0.0, ev.path, ev.size, ordinal});
   }
   return spill;
 }
@@ -58,14 +58,21 @@ double SpinEngine::recovery_available_at() const {
   return recovery_available_at_;
 }
 
-EngineStats SpinEngine::stats() const {
-  EngineStats s;
+EngineReport SpinEngine::stats() const {
+  EngineReport s;
   {
     std::lock_guard<std::mutex> lock(mu_);
     s = ext_;
     s.tracked_partitions = lineage_.size();
   }
-  s.cache = cache_.stats();
+  const CacheStats cache = cache_.stats();
+  s.enabled = true;
+  s.cache_insertions = cache.insertions;
+  s.cache_evictions = cache.evictions;
+  s.cache_hits = cache.hits;
+  s.cache_resident_bytes = cache.resident_bytes;
+  s.cache_peak_resident_bytes = cache.peak_resident_bytes;
+  s.spilled_bytes = cache.spilled_bytes;
   return s;
 }
 
@@ -122,7 +129,7 @@ double SpinEngine::on_corrupt(const std::string& path, double at) {
     ++ext_.partitions_recomputed;
     ext_.recompute_seconds += t;
     ext_.recomputed_bytes += rec.size;
-    ext_.recomputes.push_back(RecomputeEvent{at, t, 0, path, rec.size});
+    ext_.recomputes.push_back(EngineRecomputeSpan{at, t, 0, path, rec.size});
   }
   if (metrics_ != nullptr) {
     // The re-executed producer spends real (simulated) resources again.
@@ -158,7 +165,7 @@ NodeKillOutcome SpinEngine::on_kill(int node, double at) {
   double total = model_->failure_detection_seconds;
   double wave_start = at + model_->failure_detection_seconds;
   IoStats recharged;
-  std::vector<RecomputeEvent> events;
+  std::vector<EngineRecomputeSpan> events;
   int wave_idx = 0;
   for (const auto& wave : waves) {
     double max_task = 0.0;
@@ -191,7 +198,8 @@ NodeKillOutcome SpinEngine::on_kill(int node, double at) {
       recharged += rec.production_io;
       out.recomputed_bytes += rec.size;
       ++out.partitions_recomputed;
-      events.push_back(RecomputeEvent{wave_start, t, wave_idx, path, rec.size});
+      events.push_back(
+          EngineRecomputeSpan{wave_start, t, wave_idx, path, rec.size});
     }
     const double wave_seconds =
         std::max(max_task, sum_task / static_cast<double>(live_slots));

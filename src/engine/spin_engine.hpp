@@ -30,39 +30,9 @@
 #include "sim/chaos.hpp"
 #include "sim/cost_model.hpp"
 #include "sim/metrics.hpp"
+#include "sim/run_report.hpp"
 
 namespace mri::engine {
-
-/// A cache eviction spilled to disk, stamped with the 1-based ordinal of
-/// the job whose admission triggered it (spills happen at job boundaries,
-/// so the report maps the ordinal to that job's start time).
-struct SpillEvent {
-  std::uint64_t job_ordinal = 0;
-  std::string path;
-  std::uint64_t bytes = 0;
-};
-
-/// One partition rebuilt from lineage, on the absolute simulated timeline.
-struct RecomputeEvent {
-  double at = 0.0;       // when this partition's wave starts
-  double duration = 0.0; // the producing task's simulated re-run time
-  int wave = 0;
-  std::string path;
-  std::uint64_t bytes = 0;
-};
-
-struct EngineStats {
-  CacheStats cache;
-  std::uint64_t tracked_partitions = 0;
-  int partitions_recomputed = 0;
-  int lineage_waves = 0;
-  double recompute_seconds = 0.0;
-  std::uint64_t recomputed_bytes = 0;
-  std::vector<SpillEvent> spills;
-  std::vector<RecomputeEvent> recomputes;
-  /// Name of each job seen by begin_job, in ordinal order.
-  std::vector<std::string> job_names;
-};
 
 class SpinEngine final : public dfs::TierListener {
  public:
@@ -85,7 +55,11 @@ class SpinEngine final : public dfs::TierListener {
   /// difference as lineage_stall_seconds).
   double recovery_available_at() const;
 
-  EngineStats stats() const;
+  /// The run report's engine section as this engine recorded it: cache
+  /// counters, lineage totals, spills (stamped with the admitting job's
+  /// ordinal; build_run_report() places them on the timeline) and
+  /// recomputes. lineage_stall_seconds stays zero: jobs record their stalls.
+  EngineReport stats() const;
 
   // -- dfs::TierListener ----------------------------------------------------
   void on_commit(const std::string& path, dfs::StorageTier tier,
@@ -118,7 +92,7 @@ class SpinEngine final : public dfs::TierListener {
   std::uint64_t job_ordinal_ = 0;  // 1-based once the first job begins
   std::string job_name_;
   double recovery_available_at_ = 0.0;
-  EngineStats ext_;  // non-cache stats (cache_ keeps its own)
+  EngineReport ext_;  // non-cache fields (cache_ keeps its own counters)
 };
 
 }  // namespace mri::engine

@@ -21,20 +21,24 @@ std::vector<LinkReport> to_link_reports(
   return out;
 }
 
+/// A job's launch overhead: sim_seconds = launch + map + recovery stall +
+/// reduce, so the launch is the remainder. The map phase starts once the
+/// job is launched.
+double launch_seconds(const JobResult& job) {
+  return std::max(0.0, job.sim_seconds - job.map_phase_seconds -
+                           job.recovery_seconds - job.reduce_phase_seconds);
+}
+
 }  // namespace
 
 std::vector<PhaseTrace> phase_traces(const std::vector<JobResult>& jobs) {
   std::vector<PhaseTrace> phases;
   phases.reserve(jobs.size() * 2);
   for (const JobResult& job : jobs) {
-    // sim_seconds = launch + map + recovery stall + reduce, so the launch
-    // overhead is the remainder; the map phase starts once the job is
-    // launched. Recovery-wave re-executions ride in map_trace (their events
-    // start after the nominal phase end) and the reduce phase starts only
-    // after the stall.
-    const double launch = std::max(
-        0.0, job.sim_seconds - job.map_phase_seconds - job.recovery_seconds -
-                 job.reduce_phase_seconds);
+    // Recovery-wave re-executions ride in map_trace (their events start
+    // after the nominal phase end) and the reduce phase starts only after
+    // the stall.
+    const double launch = launch_seconds(job);
     if (!job.map_trace.empty()) {
       PhaseTrace p;
       p.job = job.name;
@@ -65,7 +69,7 @@ RunReport build_run_report(const std::vector<JobResult>& jobs,
                            const MetricsRegistry* metrics,
                            const std::vector<MasterSpan>& master_spans,
                            const ChaosEngine* chaos,
-                           const engine::EngineStats* engine_stats,
+                           const EngineReport* engine,
                            const dfs::Dfs* fs) {
   RunReport report;
   report.total_slots = cluster.total_slots();
@@ -104,24 +108,7 @@ RunReport build_run_report(const std::vector<JobResult>& jobs,
     }
   }
   if (chaos != nullptr) {
-    const RecoveryStats& stats = chaos->stats();
-    report.recovery.nodes_killed = stats.nodes_killed;
-    report.recovery.nodes_degraded = stats.nodes_degraded;
-    report.recovery.read_errors_injected = stats.read_errors_injected;
-    report.recovery.re_replicated_bytes = stats.re_replicated_bytes;
-    report.recovery.re_replicated_blocks = stats.re_replicated_blocks;
-    report.recovery.blocks_lost = stats.blocks_lost;
-    report.recovery.re_replication_seconds = stats.re_replication_seconds;
-    report.recovery.request_retries = stats.request_retries;
-    report.recovery.requests_unrecoverable = stats.requests_unrecoverable;
-    report.recovery.partitions_recomputed = stats.partitions_recomputed;
-    report.recovery.lineage_waves = stats.lineage_waves;
-    report.recovery.lineage_recompute_seconds =
-        stats.lineage_recompute_seconds;
-    report.recovery.lineage_recomputed_bytes =
-        stats.lineage_recomputed_bytes;
-    report.recovery.ec_cells_reconstructed = stats.ec_cells_reconstructed;
-    report.recovery.ec_reconstructed_bytes = stats.ec_reconstructed_bytes;
+    static_cast<RecoveryStats&>(report.recovery) = chaos->stats();
     // Only events that actually fired within the run belong on the faults
     // lane; the schedule may extend past the point the run ended.
     for (const ChaosEvent& e : chaos->events()) {
@@ -161,127 +148,31 @@ RunReport build_run_report(const std::vector<JobResult>& jobs,
       }
     }
   }
-  // SPIN engine section: totals copied over, event lanes laid onto the run
-  // timeline. A spill happens inside SpinEngine::begin_job of the admitting
-  // job, so its marker lands at that job's map-phase start (the launch
-  // remainder mirrors phase_traces' formula).
-  if (engine_stats != nullptr) {
-    const engine::EngineStats& es = *engine_stats;
-    report.engine.enabled = true;
-    report.engine.cache_insertions = es.cache.insertions;
-    report.engine.cache_evictions = es.cache.evictions;
-    report.engine.cache_hits = es.cache.hits;
-    report.engine.cache_resident_bytes = es.cache.resident_bytes;
-    report.engine.cache_peak_resident_bytes = es.cache.peak_resident_bytes;
-    report.engine.spilled_bytes = es.cache.spilled_bytes;
-    report.engine.tracked_partitions = es.tracked_partitions;
-    report.engine.partitions_recomputed = es.partitions_recomputed;
-    report.engine.lineage_waves = es.lineage_waves;
-    report.engine.recompute_seconds = es.recompute_seconds;
-    report.engine.recomputed_bytes = es.recomputed_bytes;
+  // SPIN engine section. A spill happens inside SpinEngine::begin_job of
+  // the admitting job, so its marker lands at that job's map-phase start.
+  if (engine != nullptr) {
+    report.engine = *engine;
     for (const JobResult& job : jobs) {
       report.engine.lineage_stall_seconds += job.lineage_stall_seconds;
     }
-    for (const engine::SpillEvent& s : es.spills) {
-      EngineSpillSpan span;
-      if (s.job_ordinal >= 1 && s.job_ordinal <= jobs.size()) {
-        const JobResult& job = jobs[s.job_ordinal - 1];
-        const double launch = std::max(
-            0.0, job.sim_seconds - job.map_phase_seconds -
-                     job.recovery_seconds - job.reduce_phase_seconds);
-        span.at = job.start_seconds + launch;
-      }
-      span.path = s.path;
-      span.bytes = s.bytes;
-      report.engine.spills.push_back(std::move(span));
-    }
-    for (const engine::RecomputeEvent& r : es.recomputes) {
-      EngineRecomputeSpan span;
-      span.at = r.at;
-      span.duration = r.duration;
-      span.wave = r.wave;
-      span.path = r.path;
-      span.bytes = r.bytes;
-      report.engine.recomputes.push_back(std::move(span));
+    for (EngineSpillSpan& s : report.engine.spills) {
+      if (s.job_ordinal < 1 || s.job_ordinal > jobs.size()) continue;
+      const JobResult& job = jobs[s.job_ordinal - 1];
+      s.at = job.start_seconds + launch_seconds(job);
     }
   }
-  // Storage section: policy/footprint from the filesystem, traffic totals
-  // from the DFS-side metrics, repair lane from the kill-path events.
+  // Storage and integrity sections from the filesystem; the storage
+  // traffic totals come from the DFS-side metrics.
   if (fs != nullptr) {
-    StorageReport& sto = report.storage;
-    sto.policy = dfs::to_string(fs->config().storage_policy);
-    if (fs->config().storage_policy == dfs::StoragePolicy::kErasureCoded) {
-      sto.ec_k = fs->config().ec.k;
-      sto.ec_m = fs->config().ec.m;
+    report.storage = fs->storage_report();
+    report.storage.parity_bytes = report.dfs_io.bytes_parity;
+    report.storage.reconstructed_bytes = report.dfs_io.bytes_reconstructed;
+    report.storage.degraded_reads = report.dfs_io.degraded_reads;
+    const auto cells = report.counters.find("dfs_ec_cells_reconstructed");
+    if (cells != report.counters.end()) {
+      report.storage.cells_reconstructed = cells->second;
     }
-    sto.logical_bytes = fs->logical_bytes_stored();
-    sto.physical_bytes = fs->physical_bytes_stored();
-    sto.physical_overhead =
-        sto.logical_bytes > 0
-            ? static_cast<double>(sto.physical_bytes) /
-                  static_cast<double>(sto.logical_bytes)
-            : 0.0;
-    sto.parity_bytes = report.dfs_io.bytes_parity;
-    sto.reconstructed_bytes = report.dfs_io.bytes_reconstructed;
-    sto.degraded_reads = report.dfs_io.degraded_reads;
-    auto counter = [&report](const char* name) -> std::uint64_t {
-      const auto it = report.counters.find(name);
-      return it != report.counters.end() ? it->second : 0;
-    };
-    sto.cells_reconstructed = counter("dfs_ec_cells_reconstructed");
-    const dfs::HotCacheStats hot = fs->hot_cache_stats();
-    sto.hot_cache_capacity_bytes = hot.capacity_bytes;
-    sto.hot_cache_resident_bytes = hot.resident_bytes;
-    sto.hot_cache_resident_files = hot.resident_files;
-    sto.hot_cache_hits = hot.hits;
-    sto.hot_cache_hit_bytes = hot.hit_bytes;
-    for (const dfs::StorageReconstructionEvent& e : fs->storage_events()) {
-      StorageReconstruction r;
-      r.at = e.at;
-      r.node = e.node;
-      r.cells = e.cells;
-      r.bytes = e.bytes;
-      r.seconds = e.seconds;
-      sto.reconstructions.push_back(std::move(r));
-    }
-    // Integrity section: configuration plus the DFS's checksum / corruption
-    // / repair / scrubber totals and event lanes.
-    IntegrityReport& integ = report.integrity;
-    integ.verify_checksums = fs->config().verify_checksums;
-    integ.scrub_interval_seconds = fs->config().scrub_interval_seconds;
-    const dfs::IntegrityStats is = fs->integrity_stats();
-    integ.cells_checksummed = is.cells_checksummed;
-    integ.cells_verified = is.cells_verified;
-    integ.bytes_verified = is.bytes_verified;
-    integ.corruptions_injected = is.corruptions_injected;
-    integ.corruptions_detected = is.corruptions_detected;
-    integ.cells_repaired_copy = is.cells_repaired_copy;
-    integ.cells_repaired_ec = is.cells_repaired_ec;
-    integ.cells_repaired_lineage = is.cells_repaired_lineage;
-    integ.cells_quarantined = is.cells_quarantined;
-    integ.scrub_passes = is.scrub_passes;
-    integ.scrub_bytes_scanned = is.scrub_bytes_scanned;
-    integ.scrub_seconds = is.scrub_seconds;
-    for (const dfs::IntegrityRepairEvent& e : is.repairs) {
-      IntegrityRepairSpan span;
-      span.at = e.at;
-      span.node = e.node;
-      span.path = e.path;
-      span.cell = e.cell;
-      span.bytes = e.bytes;
-      span.kind = e.kind;
-      span.by_scrubber = e.by_scrubber;
-      integ.repairs.push_back(std::move(span));
-    }
-    for (const dfs::ScrubPassEvent& e : is.scrubs) {
-      ScrubPassSpan span;
-      span.at = e.at;
-      span.seconds = e.seconds;
-      span.bytes_scanned = e.bytes_scanned;
-      span.cells_verified = e.cells_verified;
-      span.cells_repaired = e.cells_repaired;
-      integ.scrub_spans.push_back(std::move(span));
-    }
+    report.integrity = fs->integrity_report();
   }
   report.phases = phase_traces(jobs);
   aggregate_run_report(&report);

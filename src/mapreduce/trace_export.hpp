@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "dfs/dfs.hpp"
-#include "engine/spin_engine.hpp"
 #include "mapreduce/job.hpp"
 #include "sim/cluster.hpp"
 #include "sim/metrics.hpp"
@@ -22,23 +21,19 @@ std::vector<PhaseTrace> phase_traces(const std::vector<JobResult>& jobs);
 /// Builds and aggregates the full run report. `metrics` (DFS-side totals and
 /// named counters) may be null. `master_spans` (Pipeline::master_spans())
 /// adds the master's serial-work lane; omit it for job-only reports.
-/// `chaos` (optional) fills report.recovery — job-side fields summed from
-/// the JobResults, DFS/service-side fields from the engine's RecoveryStats —
-/// and report.chaos_events with the events that fired within the run.
-/// `engine_stats` (optional, SPIN runs) fills report.engine: cache/lineage
-/// totals plus the spill and recompute event lanes — spill events carry a
-/// 1-based job ordinal that is mapped onto the admitting job's map-phase
+/// Each optional subsystem fills its section with the record it kept:
+/// `chaos` the chaos half of report.recovery (the job-side half is summed
+/// from the JobResults) and report.chaos_events with the events that fired
+/// within the run; `engine` (SpinEngine::stats(), SPIN runs) report.engine,
+/// whose spills' job ordinals are mapped onto the admitting job's map-phase
 /// start (ordinals align with `jobs` order: every job calls
-/// SpinEngine::begin_job exactly once, in execution order).
-/// `fs` (optional) fills report.storage: the configured storage policy,
-/// logical vs physical footprint, EC/reconstruction totals, the stripe-repair
-/// event lane and the namenode hot-block cache counters.
+/// SpinEngine::begin_job exactly once, in execution order); `fs`
+/// report.storage and report.integrity.
 RunReport build_run_report(
     const std::vector<JobResult>& jobs, const Cluster& cluster,
     const MetricsRegistry* metrics,
     const std::vector<MasterSpan>& master_spans = {},
-    const ChaosEngine* chaos = nullptr,
-    const engine::EngineStats* engine_stats = nullptr,
+    const ChaosEngine* chaos = nullptr, const EngineReport* engine = nullptr,
     const dfs::Dfs* fs = nullptr);
 
 }  // namespace mri::mr

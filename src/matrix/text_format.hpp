@@ -14,7 +14,9 @@ namespace mri {
 /// Renders with enough digits to round-trip doubles exactly (%.17g).
 std::string matrix_to_text(const Matrix& m);
 
-/// Parses; all rows must have equal length. Blank lines are ignored.
+/// Parses; all rows must have equal length and every entry must be finite
+/// (InvalidArgument otherwise: "nan" and "inf" parse as numbers but are no
+/// matrix data). Blank lines are ignored.
 Matrix matrix_from_text(std::string_view text);
 
 }  // namespace mri

@@ -330,7 +330,7 @@ ServiceResult InversionService::run(std::vector<InversionRequest> requests) {
 
   out.report = mr::build_run_report(all_jobs, *cluster_, metrics_,
                                     all_master_spans, chaos_,
-                                    /*engine_stats=*/nullptr, fs_);
+                                    /*engine=*/nullptr, fs_);
   aggregate_tenant_reports(&out.report, out.stats);
   return out;
 }

@@ -89,7 +89,7 @@ struct ChaosOptions {
 struct NodeKillOutcome {
   std::uint64_t re_replicated_bytes = 0;
   int re_replicated_blocks = 0;
-  int blocks_lost = 0;
+  int blocks_lost = 0;  // blocks with every replica gone
   /// Simulated duration of the repair as the handler timed it (the DFS:
   /// flow-simulated on a racked topology, else fan-in bytes over its bound
   /// bandwidth, plus decode CPU); 0 means "not timed" and the engine falls
@@ -116,7 +116,9 @@ struct NodeKillOutcome {
 
 /// Recovery totals the engine itself observed while applying events, plus
 /// service-level retry accounting fed in via note_*(). Task-level recompute
-/// totals live in JobResult (the runtime owns that side).
+/// totals live in JobResult (the runtime owns that side). This is the chaos
+/// half of the run report's RecoveryReport, which derives from it; every
+/// field but blocks_corrupted is written to the report's "recovery" block.
 struct RecoveryStats {
   int nodes_killed = 0;
   int nodes_degraded = 0;
@@ -126,7 +128,7 @@ struct RecoveryStats {
   int blocks_corrupted = 0;
   std::uint64_t re_replicated_bytes = 0;
   int re_replicated_blocks = 0;
-  int blocks_lost = 0;
+  int blocks_lost = 0;  // blocks with every replica gone
   /// Simulated seconds of background re-replication traffic (bytes over the
   /// network bandwidth handed to the engine); informational, the pipeline
   /// does not block on it, matching HDFS background re-replication.

@@ -158,38 +158,15 @@ struct TenantReport {
 };
 
 /// Fault-recovery accounting for one run: what the chaos engine broke and
-/// what every layer paid to absorb it. Job-side fields (tasks_recomputed,
-/// attempts_killed, recovery_io, recovery_seconds) are summed from
-/// JobResults; DFS/service-side fields come from the engine's RecoveryStats.
-/// All zero for a chaos-free run.
-struct RecoveryReport {
-  int nodes_killed = 0;
-  int nodes_degraded = 0;
-  int read_errors_injected = 0;
+/// what every layer paid to absorb it. The RecoveryStats base is the chaos
+/// engine's own record (ChaosEngine::stats()); the fields below are summed
+/// from JobResults and the DFS metrics. All zero for a chaos-free run.
+struct RecoveryReport : RecoveryStats {
   int tasks_recomputed = 0;      // completed maps re-executed (outputs died)
   int attempts_killed = 0;       // in-flight attempts lost to node outages
-  std::uint64_t re_replicated_bytes = 0;
-  std::uint64_t re_replicated_blocks = 0;
-  std::uint64_t blocks_lost = 0;  // blocks with every replica gone
-  double re_replication_seconds = 0.0;
   /// Reduce-phase stall waiting for map recomputation waves (summed).
   double recovery_seconds = 0.0;
   IoStats recovery_io;  // wasted + re-done task footprint (included in io)
-  int request_retries = 0;
-  int requests_unrecoverable = 0;
-  /// SPIN-engine lineage recovery (zero unless the in-memory engine handled
-  /// a node kill): memory-tier partitions rebuilt by recomputation, the
-  /// ascending-depth waves that rebuilt them, and the simulated re-execution
-  /// cost — the in-memory counterpart of re_replicated_bytes/seconds.
-  int partitions_recomputed = 0;
-  int lineage_waves = 0;
-  double lineage_recompute_seconds = 0.0;
-  std::uint64_t lineage_recomputed_bytes = 0;
-  /// Erasure-coded stripe repair after node kills (zero on replicated runs):
-  /// cells rebuilt by decoding k survivors, and the bytes they restored —
-  /// the EC counterpart of re_replicated_blocks/bytes.
-  int ec_cells_reconstructed = 0;
-  std::uint64_t ec_reconstructed_bytes = 0;
   /// Injected read errors that a replica/cell failover absorbed (the
   /// "dfs_read_errors_survived" counter).
   std::uint64_t read_errors_survived = 0;
@@ -199,6 +176,9 @@ struct RecoveryReport {
 /// from a healthy replica ("copy"), decoded from k clean survivors ("ec"),
 /// or recomputed from lineage ("lineage") — triggered by a verifying read
 /// or by the background scrubber.
+/// The victim is named by path + cell, not block id: ids follow commit
+/// order, which races across task threads, and repair events must stay
+/// bit-identical between same-seed runs.
 struct IntegrityRepairSpan {
   double at = 0.0;
   int node = 0;
@@ -220,10 +200,10 @@ struct ScrubPassSpan {
 
 /// End-to-end data-integrity accounting: write-path checksumming,
 /// verify-on-read, silent-corruption injection, read-repair and the
-/// background scrubber. Always present in the report (stable schema); on a
-/// run with verification off and no corruption every field is zero, which
-/// keeps pre-integrity reports bit-identical. Kept free of src/dfs types so
-/// report consumers need no DFS dependency.
+/// background scrubber. The DFS records into this type as it works
+/// (Dfs::integrity_report()). Always present in the report (stable schema);
+/// on a run with verification off and no corruption every field is zero,
+/// which keeps pre-integrity reports bit-identical.
 struct IntegrityReport {
   bool verify_checksums = false;
   double scrub_interval_seconds = 0.0;
@@ -243,12 +223,14 @@ struct IntegrityReport {
   std::vector<ScrubPassSpan> scrub_spans;
 };
 
-/// One cache eviction spilled to local disk, on the run timeline (`at` is
-/// the start of the map phase of the job whose admission evicted it).
+/// One cache eviction spilled to local disk. The engine stamps the 1-based
+/// ordinal of the job whose admission evicted it; build_run_report() turns
+/// that into `at`, the start of the job's map phase on the run timeline.
 struct EngineSpillSpan {
   double at = 0.0;
   std::string path;
   std::uint64_t bytes = 0;
+  std::uint64_t job_ordinal = 0;
 };
 
 /// One memory-tier partition rebuilt from lineage after a node kill.
@@ -261,9 +243,9 @@ struct EngineRecomputeSpan {
 };
 
 /// SPIN-style in-memory engine accounting: block-cache behaviour, lineage
-/// tracking and recovery totals. `enabled` is false (everything zero/empty)
-/// on Hadoop-style disk-tier runs. Kept free of src/engine types so report
-/// consumers need no engine dependency.
+/// tracking and recovery totals, as SpinEngine::stats() records them.
+/// `enabled` is false (everything zero/empty) on Hadoop-style disk-tier
+/// runs.
 struct EngineReport {
   bool enabled = false;
   std::uint64_t cache_insertions = 0;
@@ -297,10 +279,11 @@ struct StorageReconstruction {
 };
 
 /// DFS storage-policy accounting: logical vs physical footprint, parity and
-/// reconstruction traffic, and the namenode hot-block cache. Always present
-/// in the report (stable schema); on replicated runs `policy` is "replicate",
-/// ec_k/ec_m are zero and every EC counter stays zero. Kept free of src/dfs
-/// types so report consumers need no DFS dependency.
+/// reconstruction traffic, and the namenode hot-block cache. The DFS fills
+/// everything but the four traffic totals (Dfs::storage_report()), which
+/// build_run_report() takes from the metrics. Always present in the report
+/// (stable schema); on replicated runs `policy` is "replicate", ec_k/ec_m
+/// are zero and every EC counter stays zero.
 struct StorageReport {
   std::string policy = "replicate";
   int ec_k = 0;

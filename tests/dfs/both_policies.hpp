@@ -30,7 +30,7 @@ inline std::string policy_name(
 
 /// The integrity counter a repair under `policy` lands in.
 inline std::int64_t repaired_by(StoragePolicy policy,
-                                const IntegrityStats& stats) {
+                                const IntegrityReport& stats) {
   return striped(policy) ? stats.cells_repaired_ec
                          : stats.cells_repaired_copy;
 }

@@ -313,7 +313,7 @@ TEST(DfsEc, NodeKillReconstructsCellsInsteadOfReplicating) {
   }
   EXPECT_EQ(fs.read_text("/ec/kill"), data);
 
-  const auto events = fs.storage_events();
+  const auto events = fs.storage_report().reconstructions;
   ASSERT_EQ(events.size(), 1u);
   EXPECT_DOUBLE_EQ(events[0].at, 12.5);
   EXPECT_EQ(events[0].node, victim);
@@ -352,16 +352,17 @@ TEST(DfsHotCache, ServesResidentFilesAndCountsHits) {
   fs.write_text("/work/ut_0_0", hot);
   fs.write_text("/work/other", payload(200));
 
-  const HotCacheStats before = fs.hot_cache_stats();
-  EXPECT_EQ(before.capacity_bytes, 1024u);
-  EXPECT_EQ(before.resident_files, 1) << "only the ut-prefixed file caches";
-  EXPECT_EQ(before.resident_bytes, 200u);
+  const StorageReport before = fs.storage_report();
+  EXPECT_EQ(before.hot_cache_capacity_bytes, 1024u);
+  EXPECT_EQ(before.hot_cache_resident_files, 1u)
+      << "only the ut-prefixed file caches";
+  EXPECT_EQ(before.hot_cache_resident_bytes, 200u);
 
   EXPECT_EQ(fs.read_text("/work/ut_0_0"), hot);
   EXPECT_EQ(fs.read_text("/work/other"), payload(200));
-  const HotCacheStats after = fs.hot_cache_stats();
-  EXPECT_EQ(after.hits, 1u) << "only the resident file may hit";
-  EXPECT_EQ(after.hit_bytes, 200u);
+  const StorageReport after = fs.storage_report();
+  EXPECT_EQ(after.hot_cache_hits, 1u) << "only the resident file may hit";
+  EXPECT_EQ(after.hot_cache_hit_bytes, 200u);
   EXPECT_EQ(metrics.value("dfs_hot_cache_hits"), 1u);
 }
 
@@ -386,9 +387,9 @@ TEST(DfsHotCache, CapacityBoundIsRespectedDeterministically) {
   fs.write_text("/w/ut_c", payload(100));
   fs.write_text("/w/ut_b", payload(200));
   fs.write_text("/w/ut_a", payload(100));
-  const HotCacheStats stats = fs.hot_cache_stats();
-  EXPECT_EQ(stats.resident_files, 2);
-  EXPECT_EQ(stats.resident_bytes, 200u);
+  const StorageReport stats = fs.storage_report();
+  EXPECT_EQ(stats.hot_cache_resident_files, 2u);
+  EXPECT_EQ(stats.hot_cache_resident_bytes, 200u);
 }
 
 // -- CLI-facing parameter validation --------------------------------------

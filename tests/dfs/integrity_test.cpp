@@ -63,7 +63,7 @@ TEST(CorruptCopy, DeterministicAndDifferent) {
 TEST(Integrity, WritePathRecordsChecksums) {
   Dfs fs(4, verified());
   fs.write_text("/crc/a", payload(200));  // 200 B / 64 B blocks = 4 blocks
-  const IntegrityStats stats = fs.integrity_stats();
+  const IntegrityReport stats = fs.integrity_report();
   EXPECT_EQ(stats.cells_checksummed, 4);
   EXPECT_EQ(stats.corruptions_injected, 0);
   EXPECT_EQ(stats.corruptions_detected, 0);
@@ -82,7 +82,7 @@ TEST(Integrity, VerifyOffServesRottenBytesSilently) {
   EXPECT_NE(read, data) << "silent corruption must reach the reader";
   EXPECT_EQ(read.size(), data.size());
 
-  const IntegrityStats stats = fs.integrity_stats();
+  const IntegrityReport stats = fs.integrity_report();
   EXPECT_EQ(stats.corruptions_injected, 1);
   EXPECT_EQ(stats.corruptions_detected, 0) << "nothing verifies, so nothing "
                                               "can detect";
@@ -103,11 +103,11 @@ TEST_P(IntegrityBoth, VerifyOnDetectsAndReadRepairs) {
   const int primary = fs.file_blocks("/fix/a").front().replicas.front();
 
   fs.corrupt_block(primary, /*at=*/1.0);
-  EXPECT_EQ(fs.integrity_stats().corruptions_injected, 1);
+  EXPECT_EQ(fs.integrity_report().corruptions_injected, 1);
 
   EXPECT_EQ(fs.read_text("/fix/a"), data)
       << "verification must repair before serving";
-  const IntegrityStats stats = fs.integrity_stats();
+  const IntegrityReport stats = fs.integrity_report();
   EXPECT_EQ(stats.corruptions_detected, 1);
   EXPECT_EQ(repaired_by(GetParam(), stats), 1);
   EXPECT_EQ(stats.cells_quarantined, 1);
@@ -118,7 +118,7 @@ TEST_P(IntegrityBoth, VerifyOnDetectsAndReadRepairs) {
 
   // The mark is cleared: later reads serve clean bytes with no new repair.
   EXPECT_EQ(fs.read_text("/fix/a"), data);
-  EXPECT_EQ(repaired_by(GetParam(), fs.integrity_stats()), 1);
+  EXPECT_EQ(repaired_by(GetParam(), fs.integrity_report()), 1);
 }
 
 TEST_P(IntegrityBoth, ScrubberCatchesCorruptionNoReadTouches) {
@@ -134,10 +134,10 @@ TEST_P(IntegrityBoth, ScrubberCatchesCorruptionNoReadTouches) {
   fs.corrupt_block(primary, /*at=*/2.0);
 
   chaos.advance_to(5.0);  // before the first interval boundary: no pass yet
-  EXPECT_EQ(fs.integrity_stats().scrub_passes, 0);
+  EXPECT_EQ(fs.integrity_report().scrub_passes, 0);
 
   chaos.advance_to(25.0);  // passes at t=10 and t=20
-  const IntegrityStats stats = fs.integrity_stats();
+  const IntegrityReport stats = fs.integrity_report();
   EXPECT_EQ(stats.scrub_passes, 2);
   EXPECT_EQ(stats.corruptions_detected, 1);
   EXPECT_EQ(repaired_by(GetParam(), stats), 1);
@@ -145,9 +145,9 @@ TEST_P(IntegrityBoth, ScrubberCatchesCorruptionNoReadTouches) {
   EXPECT_GT(stats.scrub_seconds, 0.0);
   ASSERT_EQ(stats.repairs.size(), 1u);
   EXPECT_TRUE(stats.repairs.front().by_scrubber);
-  ASSERT_EQ(stats.scrubs.size(), 2u);
-  EXPECT_EQ(stats.scrubs.front().cells_repaired, 1);
-  EXPECT_EQ(stats.scrubs.back().cells_repaired, 0);
+  ASSERT_EQ(stats.scrub_spans.size(), 2u);
+  EXPECT_EQ(stats.scrub_spans.front().cells_repaired, 1);
+  EXPECT_EQ(stats.scrub_spans.back().cells_repaired, 0);
 
   EXPECT_EQ(fs.read_text("/cold/a"), data);
 }
@@ -169,11 +169,11 @@ TEST(Integrity, EcDegradedReadDecodesAroundExactlyKCleanCells) {
   // threshold. Verification excludes the marked cells and decodes.
   fs.corrupt_block(loc.replicas[0], /*at=*/1.0);
   fs.corrupt_block(loc.replicas[1], /*at=*/2.0);
-  EXPECT_EQ(fs.integrity_stats().corruptions_injected, 2);
+  EXPECT_EQ(fs.integrity_report().corruptions_injected, 2);
 
   EXPECT_EQ(fs.read_text("/ec/a"), data)
       << "degraded decode from exactly k clean survivors";
-  const IntegrityStats stats = fs.integrity_stats();
+  const IntegrityReport stats = fs.integrity_report();
   EXPECT_EQ(stats.corruptions_detected, 2);
   EXPECT_EQ(stats.cells_repaired_ec, 2);
   EXPECT_EQ(fs.read_text("/ec/a"), data) << "repaired stripe reads clean";
@@ -215,7 +215,7 @@ TEST(Integrity, HotCacheNeverServesAStaleCopyAfterCorruption) {
   // Verification on: the poisoned entry is bypassed, the datanode path
   // repairs, and the caller still sees pristine bytes.
   EXPECT_EQ(fs.read_text("/factors/ut_0.bin"), data);
-  EXPECT_EQ(fs.integrity_stats().cells_repaired_copy, 1);
+  EXPECT_EQ(fs.integrity_report().cells_repaired_copy, 1);
   // Repair clears the poison: the entry is served from cache again.
   const std::uint64_t hits = metrics.value("dfs_hot_cache_hits");
   EXPECT_EQ(fs.read_text("/factors/ut_0.bin"), data);
@@ -262,7 +262,7 @@ TEST(Integrity, KillClearsRotThatDiedWithTheNode) {
   fs.kill_datanode(victim);
   EXPECT_EQ(fs.read_text("/factors/ut_2.bin"), data)
       << "hot cache kept rot whose only corrupted copy died with the node";
-  EXPECT_TRUE(fs.integrity_stats().repairs.empty())
+  EXPECT_TRUE(fs.integrity_report().repairs.empty())
       << "nothing was detected or repaired: the bad copy simply died";
 }
 
@@ -291,7 +291,7 @@ TEST(Integrity, MemoryTierCorruptionRoutesThroughLineage) {
   fs.corrupt_block(node, /*at=*/1.0);
 
   EXPECT_EQ(fs.read_text("/mem/p"), data);
-  const IntegrityStats stats = fs.integrity_stats();
+  const IntegrityReport stats = fs.integrity_report();
   EXPECT_EQ(stats.cells_repaired_lineage, 1);
   EXPECT_EQ(stats.cells_repaired_copy, 0);
   ASSERT_EQ(recorder.corrupted.size(), 1u);
@@ -315,8 +315,8 @@ TEST(Integrity, SameSequenceIsBitIdenticalAcrossInstances) {
   Dfs b(5, cfg);
   EXPECT_EQ(drive(a), drive(b));
 
-  const IntegrityStats sa = a.integrity_stats();
-  const IntegrityStats sb = b.integrity_stats();
+  const IntegrityReport sa = a.integrity_report();
+  const IntegrityReport sb = b.integrity_report();
   EXPECT_EQ(sa.corruptions_injected, sb.corruptions_injected);
   EXPECT_EQ(sa.corruptions_detected, sb.corruptions_detected);
   EXPECT_EQ(sa.cells_repaired_copy, sb.cells_repaired_copy);

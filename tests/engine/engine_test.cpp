@@ -256,10 +256,8 @@ TEST(SpinEngine, MemoryCommitPopulatesCacheAndLineage) {
     w.close();
   }
   auto stats = eng.stats();
-  EXPECT_EQ(stats.cache.insertions, 1u);
+  EXPECT_EQ(stats.cache_insertions, 1u);
   EXPECT_EQ(stats.tracked_partitions, 1u);
-  ASSERT_EQ(stats.job_names.size(), 1u);
-  EXPECT_EQ(stats.job_names[0], "produce");
 
   // A consumer open of the tracked partition counts a cache hit.
   eng.begin_job("consume");
@@ -267,12 +265,12 @@ TEST(SpinEngine, MemoryCommitPopulatesCacheAndLineage) {
     dfs::ScopedTransferLog task(1);
     (void)fs.read_text("/mem/out");
   }
-  EXPECT_GE(eng.stats().cache.hits, 1u);
+  EXPECT_GE(eng.stats().cache_hits, 1u);
 
   // Removing the file drops both the cache entry and the lineage record.
   fs.remove("/mem/out");
   stats = eng.stats();
-  EXPECT_EQ(stats.cache.resident_bytes, 0u);
+  EXPECT_EQ(stats.cache_resident_bytes, 0u);
   EXPECT_EQ(stats.tracked_partitions, 0u);
 }
 
@@ -292,8 +290,8 @@ TEST(SpinEngine, JobBoundaryEvictionSpillsToDiskAndChargesAdmitter) {
   EXPECT_EQ(spill.bytes_spilled, 256u);
   EXPECT_EQ(fs.file_tier("/mem/big"), dfs::StorageTier::kDisk);
   const auto stats = eng.stats();
-  EXPECT_EQ(stats.cache.evictions, 1u);
-  EXPECT_EQ(stats.cache.spilled_bytes, 256u);
+  EXPECT_EQ(stats.cache_evictions, 1u);
+  EXPECT_EQ(stats.spilled_bytes, 256u);
   ASSERT_EQ(stats.spills.size(), 1u);
   EXPECT_EQ(stats.spills[0].job_ordinal, 2u);
   EXPECT_EQ(stats.spills[0].path, "/mem/big");

@@ -41,6 +41,12 @@ TEST(TextFormat, GarbageThrows) {
   EXPECT_THROW(matrix_from_text("1 banana\n"), InvalidArgument);
 }
 
+TEST(TextFormat, NonFiniteEntriesThrow) {
+  EXPECT_THROW(matrix_from_text("1 nan\n3 4\n"), InvalidArgument);
+  EXPECT_THROW(matrix_from_text("1 2\n-inf 4\n"), InvalidArgument);
+  EXPECT_THROW(matrix_from_text("Infinity\n"), InvalidArgument);
+}
+
 TEST(TextFormat, ScientificNotation) {
   const Matrix m = matrix_from_text("1e3 -2.5E-2\n");
   EXPECT_EQ(m(0, 0), 1000.0);
