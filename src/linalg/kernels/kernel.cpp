@@ -4,6 +4,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <vector>
 
 #include "common/error.hpp"
 #include "linalg/kernels/detail.hpp"
@@ -34,6 +35,29 @@ class ScopedKernelTimer {
  private:
   std::chrono::steady_clock::time_point start_;
 };
+
+// Counts one public entry point and its modelled flops, factor·m·n·k with
+// negative extents clamped to 0.
+void count_call(std::atomic<std::uint64_t>* calls, std::uint64_t factor,
+                std::int64_t m, std::int64_t n, std::int64_t k) {
+  const auto u = [](std::int64_t v) {
+    return static_cast<std::uint64_t>(std::max<std::int64_t>(v, 0));
+  };
+  calls->fetch_add(1, std::memory_order_relaxed);
+  g_flops.fetch_add(factor * u(m) * u(n) * u(k), std::memory_order_relaxed);
+}
+
+// True when there is nothing to multiply. A k = 0 product is all zeros, so
+// only kAssign has a visible effect.
+bool degenerate(GemmMode mode, std::int64_t m, std::int64_t n, std::int64_t k,
+                double* c, std::int64_t ldc) {
+  if (m <= 0 || n <= 0) return true;
+  if (k > 0) return false;
+  if (mode == GemmMode::kAssign) {
+    for (std::int64_t i = 0; i < m; ++i) std::fill_n(c + i * ldc, n, 0.0);
+  }
+  return true;
+}
 
 // -1 = not chosen yet; otherwise a Backend value. set_default_backend wins
 // over the env var, which wins over hardware detection.
@@ -110,6 +134,22 @@ KernelCounters counters_snapshot() {
   return c;
 }
 
+void transpose(std::int64_t rows, std::int64_t cols, const double* src,
+               std::int64_t lds, double* dst, std::int64_t ldd) {
+  constexpr std::int64_t kTile = 8;
+  for (std::int64_t i0 = 0; i0 < rows; i0 += kTile) {
+    const std::int64_t i1 = std::min(i0 + kTile, rows);
+    for (std::int64_t j0 = 0; j0 < cols; j0 += kTile) {
+      const std::int64_t j1 = std::min(j0 + kTile, cols);
+      for (std::int64_t i = i0; i < i1; ++i) {
+        for (std::int64_t j = j0; j < j1; ++j) {
+          dst[j * ldd + i] = src[i * lds + j];
+        }
+      }
+    }
+  }
+}
+
 IoStats kernel_cost(Backend /*variant*/, std::int64_t r, std::int64_t k,
                     std::int64_t c) {
   // Every current variant executes the classic 2·r·k·c flops; the variant
@@ -172,16 +212,7 @@ void dispatch_gemm(Backend backend, int threads, GemmMode mode, std::int64_t m,
                    std::int64_t n, std::int64_t k, const double* a,
                    std::int64_t lda, const double* b, std::int64_t ldb,
                    double* c, std::int64_t ldc) {
-  if (m <= 0 || n <= 0) return;
-  if (k <= 0) {
-    // Degenerate product is all zeros; only kAssign has visible effect.
-    if (mode == GemmMode::kAssign) {
-      for (std::int64_t i = 0; i < m; ++i) {
-        std::fill(c + i * ldc, c + i * ldc + n, 0.0);
-      }
-    }
-    return;
-  }
+  if (degenerate(mode, m, n, k, c, ldc)) return;
   switch (resolve(backend)) {
     case Backend::kNaive:
       gemm_naive(mode, m, n, k, a, lda, b, ldb, c, ldc);
@@ -203,15 +234,7 @@ void dispatch_gemm_bt(Backend backend, int threads, GemmMode mode,
                       std::int64_t m, std::int64_t n, std::int64_t k,
                       const double* a, std::int64_t lda, const double* bt,
                       std::int64_t ldbt, double* c, std::int64_t ldc) {
-  if (m <= 0 || n <= 0) return;
-  if (k <= 0) {
-    if (mode == GemmMode::kAssign) {
-      for (std::int64_t i = 0; i < m; ++i) {
-        std::fill(c + i * ldc, c + i * ldc + n, 0.0);
-      }
-    }
-    return;
-  }
+  if (degenerate(mode, m, n, k, c, ldc)) return;
   switch (resolve(backend)) {
     case Backend::kNaive:
       gemm_bt_naive(mode, m, n, k, a, lda, bt, ldbt, c, ldc);
@@ -231,19 +254,81 @@ void dispatch_gemm_bt(Backend backend, int threads, GemmMode mode,
 
 }  // namespace detail
 
+namespace {
+
+// Diagonal blocks of at most this order are solved by substitution; larger
+// ones halve, so all but a leaf/order share of a TRSM's flops run as GEMM.
+constexpr std::int64_t kTrsmLeaf = 16;
+
+// Order of the first half when a diagonal block of order m > kTrsmLeaf
+// splits: a whole number of 8-wide microkernel tiles, the rest second.
+std::int64_t split_order(std::int64_t m) { return (m / 2 + 7) / 8 * 8; }
+
+// Unblocked forward substitution: row i subtracts every solved row above it
+// (unit-stride axpy over the n right-hand sides), then scales.
+void lower_left_substitute(bool unit_diag, std::int64_t m, std::int64_t n,
+                           const double* l, std::int64_t ldl, double* b,
+                           std::int64_t ldb) {
+  for (std::int64_t i = 0; i < m; ++i) {
+    double* bi = b + i * ldb;
+    const double* li = l + i * ldl;
+    for (std::int64_t p = 0; p < i; ++p) {
+      const double lip = li[p];
+      if (lip == 0.0) continue;  // triangular operands are half zeros
+      const double* bp = b + p * ldb;
+      for (std::int64_t j = 0; j < n; ++j) bi[j] -= lip * bp[j];
+    }
+    if (!unit_diag) {
+      const double inv_d = 1.0 / li[i];
+      for (std::int64_t j = 0; j < n; ++j) bi[j] *= inv_d;
+    }
+  }
+}
+
+// [L11 0; L21 L22] · [X1; X2] = [B1; B2]: solve X1, B2 -= L21·X1, solve X2.
+// Naive keeps the unblocked substitution (the §6.3 ablation baseline).
+void lower_left_recursive(Backend backend, int threads, bool unit_diag,
+                          std::int64_t m, std::int64_t n, const double* l,
+                          std::int64_t ldl, double* b, std::int64_t ldb) {
+  if (backend == Backend::kNaive || m <= kTrsmLeaf) {
+    lower_left_substitute(unit_diag, m, n, l, ldl, b, ldb);
+    return;
+  }
+  const std::int64_t m1 = split_order(m);
+  lower_left_recursive(backend, threads, unit_diag, m1, n, l, ldl, b, ldb);
+  detail::dispatch_gemm(backend, threads, GemmMode::kSubtract, m - m1, n, m1,
+                        l + m1 * ldl, ldl, b, ldb, b + m1 * ldb, ldb);
+  lower_left_recursive(backend, threads, unit_diag, m - m1, n,
+                       l + m1 * ldl + m1, ldl, b + m1 * ldb, ldb);
+}
+
+// X · U = B is Uᵀ · Xᵀ = Bᵀ: a left solve whose lower factor is the stored
+// Uᵀ itself, so the recursion's GEMMs stream rows of Uᵀ (§6.3). Bᵀ is
+// built kChunk rows of B at a time, in a buffer whose leading dimension is
+// padded off the power of two (4 KiB store-to-load aliasing between rows).
+void upper_right_transposed(Backend backend, int threads, std::int64_t m,
+                            std::int64_t n, const double* ut,
+                            std::int64_t ldut, double* b, std::int64_t ldb) {
+  constexpr std::int64_t kChunk = 128;
+  const std::int64_t ldt = std::min(m, kChunk) + 8;
+  std::vector<double> t(static_cast<std::size_t>(n * ldt));
+  for (std::int64_t r0 = 0; r0 < m; r0 += kChunk) {
+    const std::int64_t rows = std::min(kChunk, m - r0);
+    transpose(rows, n, b + r0 * ldb, ldb, t.data(), ldt);
+    lower_left_recursive(backend, threads, /*unit_diag=*/false, n, rows, ut,
+                         ldut, t.data(), ldt);
+    transpose(n, rows, t.data(), ldt, b + r0 * ldb, ldb);
+  }
+}
+
+}  // namespace
+
 void KernelContext::gemm(GemmMode mode, std::int64_t m, std::int64_t n,
                          std::int64_t k, const double* a, std::int64_t lda,
                          const double* b, std::int64_t ldb, double* c,
                          std::int64_t ldc) const {
   ScopedKernelTimer timer;
-  g_gemm_calls.fetch_add(1, std::memory_order_relaxed);
-  g_flops.fetch_add(2ull * static_cast<std::uint64_t>(std::max<std::int64_t>(
-                               m, 0)) *
-                        static_cast<std::uint64_t>(std::max<std::int64_t>(n,
-                                                                          0)) *
-                        static_cast<std::uint64_t>(std::max<std::int64_t>(k,
-                                                                          0)),
-                    std::memory_order_relaxed);
+  count_call(&g_gemm_calls, 2, m, n, k);
   detail::dispatch_gemm(backend, threads, mode, m, n, k, a, lda, b, ldb, c,
                         ldc);
 }
@@ -253,14 +338,7 @@ void KernelContext::gemm_bt(GemmMode mode, std::int64_t m, std::int64_t n,
                             const double* bt, std::int64_t ldbt, double* c,
                             std::int64_t ldc) const {
   ScopedKernelTimer timer;
-  g_gemm_calls.fetch_add(1, std::memory_order_relaxed);
-  g_flops.fetch_add(2ull * static_cast<std::uint64_t>(std::max<std::int64_t>(
-                               m, 0)) *
-                        static_cast<std::uint64_t>(std::max<std::int64_t>(n,
-                                                                          0)) *
-                        static_cast<std::uint64_t>(std::max<std::int64_t>(k,
-                                                                          0)),
-                    std::memory_order_relaxed);
+  count_call(&g_gemm_calls, 2, m, n, k);
   detail::dispatch_gemm_bt(backend, threads, mode, m, n, k, a, lda, bt, ldbt,
                            c, ldc);
 }
@@ -271,39 +349,9 @@ void KernelContext::trsm_lower_left(bool unit_diag, std::int64_t m,
                                     std::int64_t ldb) const {
   if (m <= 0 || n <= 0) return;
   ScopedKernelTimer timer;
-  g_trsm_calls.fetch_add(1, std::memory_order_relaxed);
-  g_flops.fetch_add(static_cast<std::uint64_t>(m) *
-                        static_cast<std::uint64_t>(m) *
-                        static_cast<std::uint64_t>(n),
-                    std::memory_order_relaxed);
-
-  const Backend resolved = detail::resolve(backend);
-  // Naive keeps the historical unblocked substitution (the ablation
-  // baseline); every other backend runs the blocked algorithm whose bulk is
-  // GEMM trailing updates.
-  const std::int64_t nb = resolved == Backend::kNaive ? m : 64;
-  for (std::int64_t d0 = 0; d0 < m; d0 += nb) {
-    const std::int64_t d1 = std::min<std::int64_t>(d0 + nb, m);
-    for (std::int64_t i = d0; i < d1; ++i) {
-      double* bi = b + i * ldb;
-      const double* li = l + i * ldl;
-      for (std::int64_t p = d0; p < i; ++p) {
-        const double lip = li[p];
-        if (lip == 0.0) continue;  // triangular operands are half zeros
-        const double* bp = b + p * ldb;
-        for (std::int64_t j = 0; j < n; ++j) bi[j] -= lip * bp[j];
-      }
-      if (!unit_diag) {
-        const double inv_d = 1.0 / li[i];
-        for (std::int64_t j = 0; j < n; ++j) bi[j] *= inv_d;
-      }
-    }
-    if (d1 < m) {
-      detail::dispatch_gemm(resolved, threads, GemmMode::kSubtract, m - d1, n,
-                            d1 - d0, l + d1 * ldl + d0, ldl, b + d0 * ldb, ldb,
-                            b + d1 * ldb, ldb);
-    }
-  }
+  count_call(&g_trsm_calls, 1, m, m, n);
+  lower_left_recursive(detail::resolve(backend), threads, unit_diag, m, n, l,
+                       ldl, b, ldb);
 }
 
 void KernelContext::trsm_upper_right_from_transpose(std::int64_t m,
@@ -314,35 +362,9 @@ void KernelContext::trsm_upper_right_from_transpose(std::int64_t m,
                                                     std::int64_t ldb) const {
   if (m <= 0 || n <= 0) return;
   ScopedKernelTimer timer;
-  g_trsm_calls.fetch_add(1, std::memory_order_relaxed);
-  g_flops.fetch_add(static_cast<std::uint64_t>(n) *
-                        static_cast<std::uint64_t>(n) *
-                        static_cast<std::uint64_t>(m),
-                    std::memory_order_relaxed);
-
-  const Backend resolved = detail::resolve(backend);
-  const std::int64_t nb = resolved == Backend::kNaive ? n : 64;
-  for (std::int64_t d0 = 0; d0 < n; d0 += nb) {
-    const std::int64_t d1 = std::min<std::int64_t>(d0 + nb, n);
-    // In-block left-to-right substitution; columns < d0 were already
-    // subtracted by earlier trailing updates.
-    for (std::int64_t i = 0; i < m; ++i) {
-      double* xi = b + i * ldb;
-      for (std::int64_t j = d0; j < d1; ++j) {
-        const double* utj = ut + j * ldut;  // row j of Uᵀ = column j of U
-        double sum = xi[j];
-        for (std::int64_t p = d0; p < j; ++p) sum -= xi[p] * utj[p];
-        xi[j] = sum / utj[j];
-      }
-    }
-    // B[:, d1:] -= X[:, d0:d1] · U[d0:d1, d1:], with U's block read as rows
-    // of Uᵀ (gemm_bt streams ut rows — the transposed-U layout's payoff).
-    if (d1 < n) {
-      detail::dispatch_gemm_bt(resolved, threads, GemmMode::kSubtract, m,
-                               n - d1, d1 - d0, b + d0, ldb,
-                               ut + d1 * ldut + d0, ldut, b + d1, ldb);
-    }
-  }
+  count_call(&g_trsm_calls, 1, n, n, m);
+  upper_right_transposed(detail::resolve(backend), threads, m, n, ut, ldut, b,
+                         ldb);
 }
 
 }  // namespace mri::kernels

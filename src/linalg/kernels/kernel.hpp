@@ -109,20 +109,24 @@ struct KernelContext {
                std::int64_t ldbt, double* c, std::int64_t ldc) const;
 
   /// In-place left solve L · X = B: b (m x n) becomes X, with l (m x m)
-  /// lower triangular (`unit_diag` skips the diagonal division). Blocked:
-  /// small diagonal-block substitutions plus GEMM trailing updates.
+  /// lower triangular (`unit_diag` skips the diagonal). Halves recursively
+  /// to 16-row substitutions; every off-diagonal update is one GEMM.
   void trsm_lower_left(bool unit_diag, std::int64_t m, std::int64_t n,
                        const double* l, std::int64_t ldl, double* b,
                        std::int64_t ldb) const;
 
   /// In-place right solve X · U = B: b (m x n) becomes X, with ut (n x n)
-  /// holding Uᵀ row-major (row j of ut is column j of U, diagonal included,
-  /// non-unit). Blocked with gemm_bt trailing updates so the hot path
-  /// streams ut rows, matching the paper's transposed-U storage argument.
+  /// holding Uᵀ row-major (row j of ut is column j of U, non-unit). Runs as
+  /// the left solve Uᵀ · Xᵀ = Bᵀ, so its GEMMs stream ut rows (§6.3).
   void trsm_upper_right_from_transpose(std::int64_t m, std::int64_t n,
                                        const double* ut, std::int64_t ldut,
                                        double* b, std::int64_t ldb) const;
 };
+
+/// dst (cols x rows) = srcᵀ for a rows x cols src, in 8x8 tiles: their
+/// 2 x 8 lines fit L1 associativity at power-of-two strides (32x32 thrash).
+void transpose(std::int64_t rows, std::int64_t cols, const double* src,
+               std::int64_t lds, double* dst, std::int64_t ldd);
 
 /// Modelled flop cost of a dense (r x k) · (k x c) multiply executed by
 /// kernel `variant`. Identical for every variant — tiling and vectorization

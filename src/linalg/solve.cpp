@@ -1,5 +1,8 @@
 #include "linalg/solve.hpp"
 
+#include <numeric>
+#include <utility>
+
 #include "linalg/triangular.hpp"
 #include "matrix/ops.hpp"
 
@@ -21,23 +24,14 @@ Matrix solve_matrix(const Matrix& a, const Matrix& b) {
   // P·A·X = P·B  =>  L·U·X = P·B.
   const Matrix pb = lu.perm.apply_to_rows(b);
   const Matrix y = solve_lower(lu.unit_lower(), pb);
-  // Back substitution with U.
-  const Matrix u = lu.upper();
-  const Index n = u.rows(), m = y.cols();
-  Matrix x = y;
-  for (Index i = n - 1; i >= 0; --i) {
-    double* xi = x.row(i).data();
-    const double* ui = u.row(i).data();
-    for (Index k = i + 1; k < n; ++k) {
-      const double uik = ui[k];
-      if (uik == 0.0) continue;
-      const double* xk = x.row(k).data();
-      for (Index j = 0; j < m; ++j) xi[j] -= uik * xk[j];
-    }
-    const double inv_d = 1.0 / ui[i];
-    for (Index j = 0; j < m; ++j) xi[j] *= inv_d;
-  }
-  return x;
+  // Back substitution U·X = Y as a forward one: with J the order reversal,
+  // (J·U·J)·(J·X) = J·Y and J·U·J is lower triangular.
+  std::vector<Index> reversal(static_cast<std::size_t>(a.rows()));
+  std::iota(reversal.rbegin(), reversal.rend(), Index{0});
+  const Permutation j(std::move(reversal));
+  return j.apply_to_rows(
+      solve_lower(j.apply_to_columns(j.apply_to_rows(lu.upper())),
+                  j.apply_to_rows(y)));
 }
 
 std::vector<double> solve(const Matrix& a, const std::vector<double>& b) {

@@ -1,5 +1,9 @@
 #include "linalg/triangular.hpp"
 
+#include <algorithm>
+#include <cmath>
+#include <numeric>
+
 #include "linalg/kernels/kernel.hpp"
 #include "matrix/ops.hpp"
 
@@ -7,39 +11,25 @@ namespace mri {
 
 namespace {
 
-void check_lower(const Matrix& l) {
-  MRI_REQUIRE(l.square(), "expected a square lower-triangular matrix");
-  for (Index i = 0; i < l.rows(); ++i) {
-    MRI_REQUIRE(l(i, i) != 0.0,
+// A zero or non-finite diagonal makes the factor singular (NaN != 0.0 is
+// true, so the finiteness test is what rejects a NaN pivot).
+void check_triangular(const Matrix& t) {
+  MRI_REQUIRE(t.square(), "expected a square triangular matrix");
+  for (Index i = 0; i < t.rows(); ++i) {
+    MRI_REQUIRE(std::isfinite(t(i, i)) && t(i, i) != 0.0,
                 "triangular matrix is singular at diagonal " << i);
   }
 }
 
-void check_upper(const Matrix& u) {
-  MRI_REQUIRE(u.square(), "expected a square upper-triangular matrix");
-  for (Index i = 0; i < u.rows(); ++i) {
-    MRI_REQUIRE(u(i, i) != 0.0,
-                "triangular matrix is singular at diagonal " << i);
-  }
-}
+// Requested columns are solved this many at a time, as one TRSM each.
+constexpr std::size_t kPanel = 32;
 
 }  // namespace
 
 Matrix invert_lower(const Matrix& l) {
-  check_lower(l);
-  const Index n = l.rows();
-  Matrix inv(n, n);
-  // Eq. 4, column by column.
-  for (Index j = 0; j < n; ++j) {
-    inv(j, j) = 1.0 / l(j, j);
-    for (Index i = j + 1; i < n; ++i) {
-      double sum = 0.0;
-      const double* li = l.row(i).data();
-      for (Index k = j; k < i; ++k) sum += li[k] * inv(k, j);
-      inv(i, j) = -sum / l(i, i);
-    }
-  }
-  return inv;
+  std::vector<Index> all(static_cast<std::size_t>(l.rows()));
+  std::iota(all.begin(), all.end(), Index{0});
+  return invert_lower_columns(l, all);
 }
 
 Matrix invert_upper_via_transpose(const Matrix& u) {
@@ -47,48 +37,51 @@ Matrix invert_upper_via_transpose(const Matrix& u) {
 }
 
 Matrix invert_upper_direct(const Matrix& u) {
-  check_upper(u);
-  const Index n = u.rows();
-  Matrix inv(n, n);
-  for (Index j = 0; j < n; ++j) {
-    inv(j, j) = 1.0 / u(j, j);
-    for (Index i = j - 1; i >= 0; --i) {
-      double sum = 0.0;
-      const double* ui = u.row(i).data();
-      for (Index k = i + 1; k <= j; ++k) sum += ui[k] * inv(k, j);
-      inv(i, j) = -sum / u(i, i);
-    }
-  }
-  return inv;
+  return solve_upper_right(u, Matrix::identity(u.rows()));
 }
 
 Matrix invert_lower_columns(const Matrix& l, const std::vector<Index>& columns) {
-  check_lower(l);
+  check_triangular(l);
   const Index n = l.rows();
-  Matrix out(n, static_cast<Index>(columns.size()));
-  std::vector<double> col(static_cast<std::size_t>(n));
-  for (std::size_t c = 0; c < columns.size(); ++c) {
-    const Index j = columns[c];
+  for (const Index j : columns) {
     MRI_REQUIRE(j >= 0 && j < n, "column index " << j << " out of order " << n);
-    std::fill(col.begin(), col.end(), 0.0);
-    col[static_cast<std::size_t>(j)] = 1.0 / l(j, j);
-    for (Index i = j + 1; i < n; ++i) {
-      double sum = 0.0;
-      const double* li = l.row(i).data();
-      for (Index k = j; k < i; ++k) sum += li[k] * col[static_cast<std::size_t>(k)];
-      col[static_cast<std::size_t>(i)] = -sum / l(i, i);
+  }
+  // Eq. 4 panel by panel, in ascending column order: with lo the panel's
+  // smallest column, column j of L⁻¹ is zero above row j and its rows lo..
+  // solve L[lo:, lo:] · X = E, where E holds a 1 at (j - lo) per column.
+  std::vector<std::size_t> order(columns.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::ranges::stable_sort(order, {},
+                           [&](std::size_t k) { return columns[k]; });
+  Matrix out(n, static_cast<Index>(columns.size()));
+  const kernels::KernelContext ctx;
+  for (std::size_t p0 = 0; p0 < order.size(); p0 += kPanel) {
+    const std::size_t p1 = std::min(p0 + kPanel, order.size());
+    const Index w = static_cast<Index>(p1 - p0);
+    // Panel column c is output column slot(c), which is L⁻¹'s column id(c).
+    const auto slot = [&](Index c) {
+      return order[p0 + static_cast<std::size_t>(c)];
+    };
+    const auto id = [&](Index c) { return columns[slot(c)]; };
+    const Index lo = id(0);
+    Matrix x(n - lo, w);
+    for (Index c = 0; c < w; ++c) x(id(c) - lo, c) = 1.0;
+    ctx.trsm_lower_left(/*unit_diag=*/false, n - lo, w, &l.row(lo)[lo],
+                        l.cols(), x.data().data(), w);
+    // Row by row; above each column's own diagonal out keeps exact zeros.
+    for (Index i = lo; i < n; ++i) {
+      for (Index c = 0; c < w; ++c) {
+        if (id(c) <= i) out(i, static_cast<Index>(slot(c))) = x(i - lo, c);
+      }
     }
-    for (Index i = 0; i < n; ++i) out(i, static_cast<Index>(c)) = col[static_cast<std::size_t>(i)];
   }
   return out;
 }
 
 Matrix solve_lower(const Matrix& l, const Matrix& b) {
-  check_lower(l);
+  check_triangular(l);
   MRI_REQUIRE(l.rows() == b.rows(), "solve_lower shape mismatch: "
                                         << l.rows() << " vs " << b.rows());
-  // Forward substitution as a blocked TRSM through the kernel engine: the
-  // bulk of the work becomes GEMM trailing updates on the selected backend.
   Matrix x = b;
   kernels::KernelContext ctx;
   ctx.trsm_lower_left(/*unit_diag=*/false, l.rows(), b.cols(),
@@ -97,32 +90,16 @@ Matrix solve_lower(const Matrix& l, const Matrix& b) {
 }
 
 Matrix solve_upper_right(const Matrix& u, const Matrix& b) {
-  check_upper(u);
-  MRI_REQUIRE(u.rows() == b.cols(), "solve_upper_right shape mismatch: "
-                                        << u.rows() << " vs " << b.cols());
-  const Index n = u.rows(), rows = b.rows();
-  Matrix x = b;
-  // Row i of X solves x_i · U = b_i: left-to-right substitution.
-  for (Index i = 0; i < rows; ++i) {
-    double* xi = x.row(i).data();
-    for (Index j = 0; j < n; ++j) {
-      double sum = xi[j];
-      for (Index k = 0; k < j; ++k) sum -= xi[k] * u(k, j);
-      xi[j] = sum / u(j, j);
-    }
-  }
-  return x;
+  return solve_upper_right_from_transpose(transpose(u), b);
 }
 
 Matrix solve_upper_right_from_transpose(const Matrix& ut, const Matrix& b) {
-  check_lower(ut);
+  check_triangular(ut);
   MRI_REQUIRE(ut.rows() == b.cols(),
               "solve_upper_right_from_transpose shape mismatch: " << ut.rows()
                                                                   << " vs "
                                                                   << b.cols());
-  // Right-solve against the transposed-stored factor: the kernel TRSM's
-  // trailing updates stream rows of Uᵀ (gemm_bt), preserving the §6.3
-  // layout argument on every backend.
+  // The kernel streams rows of the transposed-stored factor (§6.3).
   Matrix x = b;
   kernels::KernelContext ctx;
   ctx.trsm_upper_right_from_transpose(b.rows(), ut.rows(), ut.data().data(),

@@ -71,8 +71,8 @@ void subtract_in_place(Matrix* a, const Matrix& b) {
 
 Matrix transpose(const Matrix& a) {
   Matrix t(a.cols(), a.rows());
-  for (Index i = 0; i < a.rows(); ++i)
-    for (Index j = 0; j < a.cols(); ++j) t(j, i) = a(i, j);
+  kernels::transpose(a.rows(), a.cols(), a.data().data(), a.cols(),
+                     t.data().data(), t.cols());
   return t;
 }
 

@@ -1,9 +1,11 @@
-// The kernel engine: cross-backend equivalence, GEMM modes, blocked TRSM
+// The kernel engine: cross-backend equivalence, GEMM modes, recursive TRSMs
 // against reference substitution, determinism, threading and counters.
 #include "linalg/kernels/kernel.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
 #include <tuple>
 #include <vector>
 
@@ -164,6 +166,7 @@ TEST(Gemm, ThreadedMatchesSerialBitwise) {
   }
 }
 
+// Textbook substitutions, independent of the kernel engine.
 Matrix trsm_lower_reference(bool unit_diag, const Matrix& l, const Matrix& b) {
   Matrix x = b;
   for (Index i = 0; i < l.rows(); ++i) {
@@ -176,57 +179,155 @@ Matrix trsm_lower_reference(bool unit_diag, const Matrix& l, const Matrix& b) {
   return x;
 }
 
-class TrsmShapes
-    : public ::testing::TestWithParam<std::tuple<Index, Index, bool>> {};
+// X · U = B with ut = Uᵀ: x_ij = (b_ij - Σ_{p<j} x_ip · ut(j, p)) / ut(j, j).
+Matrix trsm_upper_reference(const Matrix& ut, const Matrix& b) {
+  Matrix x = b;
+  for (Index i = 0; i < b.rows(); ++i) {
+    for (Index j = 0; j < ut.rows(); ++j) {
+      double sum = x(i, j);
+      for (Index p = 0; p < j; ++p) sum -= x(i, p) * ut(j, p);
+      x(i, j) = sum / ut(j, j);
+    }
+  }
+  return x;
+}
 
-TEST_P(TrsmShapes, LowerLeftMatchesReference) {
-  const auto [m, n, unit_diag] = GetParam();
-  Matrix l = random_matrix(m, m, /*seed=*/m + n, -1, 1);
-  for (Index i = 0; i < m; ++i) l(i, i) = 2.0 + static_cast<double>(i % 3);
-  const Matrix b = random_matrix(m, n, /*seed=*/m + n + 5, -1, 1);
-  const Matrix ref = trsm_lower_reference(unit_diag, l, b);
-  const double tol = 1e-9 * static_cast<double>(m + 1);
-  for (const Backend backend : kAllBackends) {
-    Matrix x = b;
-    KernelContext ctx;
-    ctx.backend = backend;
-    ctx.trsm_lower_left(unit_diag, m, n, l.data().data(), l.cols(),
-                        x.data().data(), x.cols());
-    EXPECT_LT(max_abs_diff(x, ref), tol) << backend_name(backend);
+// A lower-triangular factor whose solves stay well conditioned at every
+// order (off-diagonals in ±1/m). Entries a solve must not read are NaN, so
+// touching one poisons the result: the strict upper triangle always, and
+// the diagonal too when it is implicitly unit.
+Matrix trsm_factor(Index m, bool unit_diag, std::uint64_t seed) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  Matrix l = random_matrix(m, m, seed, -1, 1);
+  for (Index i = 0; i < m; ++i) {
+    for (Index p = 0; p < i; ++p) l(i, p) /= static_cast<double>(m);
+    l(i, i) = unit_diag ? nan : 2.0 + static_cast<double>(i % 3);
+    for (Index p = i + 1; p < m; ++p) l(i, p) = nan;
+  }
+  return l;
+}
+
+double rel_diff(const Matrix& x, const Matrix& ref) {
+  return max_abs_diff(x, ref) / std::max(max_abs(ref), 1e-300);
+}
+
+Matrix run_trsm_lower(Backend backend, int threads, bool unit_diag,
+                      const Matrix& l, Matrix b) {
+  KernelContext ctx;
+  ctx.backend = backend;
+  ctx.threads = threads;
+  ctx.trsm_lower_left(unit_diag, b.rows(), b.cols(), l.data().data(),
+                      l.cols(), b.data().data(), b.cols());
+  return b;
+}
+
+Matrix run_trsm_upper(Backend backend, int threads, const Matrix& ut,
+                      Matrix b) {
+  KernelContext ctx;
+  ctx.backend = backend;
+  ctx.threads = threads;
+  ctx.trsm_upper_right_from_transpose(b.rows(), b.cols(), ut.data().data(),
+                                      ut.cols(), b.data().data(), b.cols());
+  return b;
+}
+
+const Backend kSerialBest =
+    backend_available(Backend::kSimd) ? Backend::kSimd : Backend::kTiled;
+
+// Orders straddling the recursive TRSM's 16-row leaf, its 8-aligned splits
+// and the old 64-row diagonal block; m is the triangle's order, n the other
+// extent of B.
+class TrsmGrid
+    : public ::testing::TestWithParam<std::tuple<Index, Index>> {};
+
+TEST_P(TrsmGrid, LowerLeftEveryBackendMatchesNaive) {
+  const auto [m, n] = GetParam();
+  for (const bool unit_diag : {false, true}) {
+    const Matrix l = trsm_factor(m, unit_diag, /*seed=*/m * 131 + n);
+    const Matrix b = random_matrix(m, n, /*seed=*/m + n + 5, -1, 1);
+    const Matrix naive =
+        run_trsm_lower(Backend::kNaive, 0, unit_diag, l, b);
+    ASSERT_LT(rel_diff(naive, trsm_lower_reference(unit_diag, l, b)), 1e-12);
+    for (const Backend backend : kAllBackends) {
+      if (!backend_available(backend)) continue;
+      const Matrix x = run_trsm_lower(backend, 0, unit_diag, l, b);
+      EXPECT_LT(rel_diff(x, naive), 1e-12)
+          << backend_name(backend) << " unit=" << unit_diag;
+      EXPECT_EQ(run_trsm_lower(backend, 0, unit_diag, l, b), x)  // bitwise
+          << backend_name(backend) << " unit=" << unit_diag;
+    }
+    const Matrix serial = run_trsm_lower(kSerialBest, 0, unit_diag, l, b);
+    for (const int threads : {2, 3}) {
+      EXPECT_EQ(run_trsm_lower(Backend::kThreaded, threads, unit_diag, l, b),
+                serial)
+          << threads << " threads, unit=" << unit_diag;
+    }
+  }
+}
+
+TEST_P(TrsmGrid, UpperRightEveryBackendMatchesNaive) {
+  const auto [n, m] = GetParam();
+  // A unit-valued diagonal and a general one (this solve always divides).
+  for (const bool unit_valued : {false, true}) {
+    Matrix ut = trsm_factor(n, /*unit_diag=*/false, /*seed=*/n * 137 + m);
+    if (unit_valued) {
+      for (Index i = 0; i < n; ++i) ut(i, i) = 1.0;
+    }
+    const Matrix b = random_matrix(m, n, /*seed=*/m + n + 9, -1, 1);
+    const Matrix naive = run_trsm_upper(Backend::kNaive, 0, ut, b);
+    ASSERT_LT(rel_diff(naive, trsm_upper_reference(ut, b)), 1e-12);
+    for (const Backend backend : kAllBackends) {
+      if (!backend_available(backend)) continue;
+      const Matrix x = run_trsm_upper(backend, 0, ut, b);
+      EXPECT_LT(rel_diff(x, naive), 1e-12)
+          << backend_name(backend) << " unit=" << unit_valued;
+      EXPECT_EQ(run_trsm_upper(backend, 0, ut, b), x)  // bitwise
+          << backend_name(backend) << " unit=" << unit_valued;
+    }
+    const Matrix serial = run_trsm_upper(kSerialBest, 0, ut, b);
+    for (const int threads : {2, 3}) {
+      EXPECT_EQ(run_trsm_upper(Backend::kThreaded, threads, ut, b), serial)
+          << threads << " threads, unit=" << unit_valued;
+    }
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    Shapes, TrsmShapes,
-    ::testing::Values(std::make_tuple<Index, Index, bool>(1, 1, false),
-                      std::make_tuple<Index, Index, bool>(1, 7, true),
-                      std::make_tuple<Index, Index, bool>(5, 3, false),
-                      std::make_tuple<Index, Index, bool>(64, 64, true),
-                      std::make_tuple<Index, Index, bool>(129, 31, false),
-                      std::make_tuple<Index, Index, bool>(100, 1, true)));
+    Shapes, TrsmGrid,
+    ::testing::Combine(::testing::Values(1, 7, 8, 9, 31, 33, 63, 65, 130),
+                       ::testing::Values(1, 7, 8, 9, 31, 33, 63, 65, 130)));
 
-TEST(Trsm, UpperRightFromTransposeSolves) {
-  // X · U = B with ut = Uᵀ: check A·X reconstructs B for every backend, on
-  // a blocked-path size (> one 64-wide diagonal block) and a tiny one.
-  for (const Index n : {Index{3}, Index{100}}) {
-    const Index m = n == 3 ? 2 : 37;
-    Matrix ut = random_matrix(n, n, /*seed=*/n, -1, 1);
-    for (Index i = 0; i < n; ++i) ut(i, i) = 3.0 + static_cast<double>(i % 4);
-    const Matrix b = random_matrix(m, n, /*seed=*/n + 1, -1, 1);
-    const Matrix u = transpose(ut);  // actual upper-triangular factor
-    for (const Backend backend : kAllBackends) {
-      Matrix x = b;
-      KernelContext ctx;
-      ctx.backend = backend;
-      ctx.trsm_upper_right_from_transpose(m, n, ut.data().data(), ut.cols(),
-                                          x.data().data(), x.cols());
-      Matrix xu(m, n);
-      // Only the upper triangle of u participates.
-      for (Index i = 0; i < m; ++i)
-        for (Index k = 0; k < n; ++k)
-          for (Index j = k; j < n; ++j) xu(i, j) += x(i, k) * u(k, j);
-      EXPECT_LT(max_abs_diff(xu, b), 1e-8 * static_cast<double>(n))
-          << backend_name(backend) << " n=" << n;
+TEST(Trsm, SubBlocksHonourLeadingDimensions) {
+  // Solving in place inside larger buffers (as the blocked LU and the
+  // panel inversion do) gives bit-for-bit the tightly packed answer.
+  const Index m = 70, n = 45, pad = 5;
+  const Matrix l = trsm_factor(m, false, 21);
+  const Matrix b = random_matrix(m, n, 22, -1, 1);
+  const Matrix ut = trsm_factor(n, false, 23);
+  for (const Backend backend : kAllBackends) {
+    Matrix lw(m + 1, m + pad), bw(m + 2, n + pad), uw(n + 1, n + pad),
+        cw(m + 2, n + pad);
+    for (Index i = 0; i < m; ++i) {
+      for (Index j = 0; j < m; ++j) lw(i + 1, j + pad) = l(i, j);
+      for (Index j = 0; j < n; ++j) {
+        bw(i + 2, j + pad) = cw(i + 2, j + pad) = b(i, j);
+      }
+    }
+    for (Index i = 0; i < n; ++i)
+      for (Index j = 0; j < n; ++j) uw(i + 1, j + pad) = ut(i, j);
+    KernelContext ctx;
+    ctx.backend = backend;
+    ctx.trsm_lower_left(false, m, n, &lw.row(1)[pad], lw.cols(),
+                        &bw.row(2)[pad], bw.cols());
+    ctx.trsm_upper_right_from_transpose(m, n, &uw.row(1)[pad], uw.cols(),
+                                        &cw.row(2)[pad], cw.cols());
+    const Matrix lower = run_trsm_lower(backend, 0, false, l, b);
+    const Matrix upper = run_trsm_upper(backend, 0, ut, b);
+    for (Index i = 0; i < m; ++i) {
+      for (Index j = 0; j < n; ++j) {
+        ASSERT_EQ(bw(i + 2, j + pad), lower(i, j)) << backend_name(backend);
+        ASSERT_EQ(cw(i + 2, j + pad), upper(i, j)) << backend_name(backend);
+      }
     }
   }
 }
